@@ -127,8 +127,5 @@ fn bfs_high_latency_fast_forward_pays() {
 
 #[test]
 fn bfs_mc16_fast_forward_is_invisible() {
-    let mut config = GpuConfig::with_cores(16);
-    // One pool thread: this is an identity check, not a host benchmark.
-    config.sim_threads = 1;
-    let (_, _) = ab_legs("bfs-mc16", &Bfs::default(), config);
+    let (_, _) = ab_legs("bfs-mc16", &Bfs::default(), GpuConfig::with_cores(16));
 }

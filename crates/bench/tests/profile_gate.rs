@@ -123,32 +123,33 @@ fn vxprof_cli_end_to_end() {
 
 #[test]
 fn vxsim_rejects_bad_numeric_flags() {
-    // Every numeric flag must reject 0 and garbage with a structured
-    // usage error (exit 2), not silently disable itself or panic.
-    for bad in [
-        ["--sample", "0"],
-        ["--sample", "banana"],
-        ["--max-cycles", "0"],
-        ["--cores", "0"],
-        ["--checkpoint-every", "-5"],
-    ] {
+    // Every numeric flag must reject 0 and garbage, and every flag that
+    // would silently select nothing must be refused, with a structured
+    // usage error (exit 2) — never a silent no-op or a panic.
+    let positive = "positive integer";
+    let rows: &[(&[&str], &str)] = &[
+        (&["--sample", "0"], positive),
+        (&["--sample", "banana"], positive),
+        (&["--max-cycles", "0"], positive),
+        (&["--cores", "0"], positive),
+        (&["--checkpoint-every", "-5"], positive),
+        // An L3 no request can reach, clusters that share nothing.
+        (&["--l3"], "--l3 has no effect without --l2"),
+        (&["--cores", "4", "--clusters", "2"], "--clusters has no effect without --l2"),
+        // Removed with the intra-simulation worker pool: unknown flag.
+        (&["--sim-threads", "4"], "usage: vxsim"),
+    ];
+    for &(bad, expect) in rows {
         let out = Command::new(env!("CARGO_BIN_EXE_vxsim"))
-            .args(["/nonexistent.s", bad[0], bad[1]])
+            .arg("/nonexistent.s")
+            .args(bad)
             .output()
             .expect("vxsim runs");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "vxsim {} {} must exit 2 (usage)",
-            bad[0],
-            bad[1]
-        );
+        assert_eq!(out.status.code(), Some(2), "vxsim {bad:?} must exit 2 (usage)");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(
-            err.contains("positive integer"),
-            "vxsim {} {}: error must name the expectation, got: {err}",
-            bad[0],
-            bad[1]
+            err.contains(expect),
+            "vxsim {bad:?}: error must name the expectation, got: {err}"
         );
     }
     // A flag expecting a path must not swallow the next flag.

@@ -157,13 +157,9 @@ pub struct GpuConfig {
     /// read-only: simulated cycles and [`crate::GpuStats`] are
     /// bit-identical on or off.
     pub sample_interval: u64,
-    /// Host worker threads used to tick cores inside one simulation
-    /// (`1` = fully sequential, today's behavior). Values above `1` fan
-    /// the per-cycle compute phase out over a persistent scoped thread
-    /// pool; the commit phase stays serial and in fixed core-id order, so
-    /// simulated cycles and [`crate::GpuStats`] are bit-identical at any
-    /// setting (see `Gpu::run`). Clamped to the core count at run time.
-    /// [`GpuConfig::with_cores`] seeds this from `VORTEX_SIM_THREADS`.
+    /// Ignored: the simulator has one run loop. Retained (always `1` from
+    /// [`GpuConfig::with_cores`]) until the benchmark drops its Threads2
+    /// leg; never enters the snapshot fingerprint.
     pub sim_threads: usize,
     /// Checkpoint *drill* interval in cycles: when non-zero, `Gpu::run`
     /// kills and resurrects the machine every `checkpoint_drill` cycles —
@@ -171,8 +167,8 @@ pub struct GpuConfig {
     /// this configuration, restore, continue. A host-side exercise of the
     /// crash-recovery path (used by the CI snapshot smoke job to prove the
     /// gate workloads' cycle counts survive interruption); simulated
-    /// behavior is bit-identical on or off, like `sim_threads` it never
-    /// enters the snapshot fingerprint. `0` (the default) disables the
+    /// behavior is bit-identical on or off, and it never enters the
+    /// snapshot fingerprint. `0` (the default) disables the
     /// drill at the cost of one branch per `run` call.
     pub checkpoint_drill: u64,
     /// Event-driven idle-cycle fast-forward: when every component
@@ -194,7 +190,7 @@ pub struct GpuConfig {
     /// Observation-only — simulated cycles and [`crate::GpuStats`] are
     /// bit-identical on or off (asserted by the bench profile gate); the
     /// disabled cost is one `Option` test per issue-stage event. Unlike
-    /// `sim_threads`, profiling *does* enter the snapshot fingerprint:
+    /// the host-only knobs, profiling *does* enter the snapshot fingerprint:
     /// profiled snapshots carry extra per-core payload and must not be
     /// restored into an unprofiled machine (or vice versa).
     pub profile: bool,
@@ -220,7 +216,7 @@ impl GpuConfig {
             dram,
             watchdog_cycles: 10_000,
             sample_interval: 0,
-            sim_threads: sim_threads_from_env(),
+            sim_threads: 1,
             checkpoint_drill: 0,
             fast_forward: fast_forward_from_env(),
             profile: false,
@@ -240,26 +236,12 @@ impl Default for GpuConfig {
     }
 }
 
-/// Host simulation threads requested via `VORTEX_SIM_THREADS` (default 1 =
-/// sequential). Unparsable or zero values fall back to 1, matching the
-/// project convention of never letting an env knob change simulated
-/// behavior — thread count only affects wall-clock. Reading the knob here
-/// (inside [`GpuConfig::with_cores`]) means the entire test suite and every
-/// benchmark exercise the parallel path when the variable is set, which is
-/// how CI runs the tier-1 suite at both 1 and 4 threads.
-pub fn sim_threads_from_env() -> usize {
-    std::env::var("VORTEX_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
 /// Idle-cycle fast-forward requested via `VORTEX_FF` (default on).
 /// `0`, `off`, or `false` (case-insensitive) disable it; anything else —
-/// including an unset variable — leaves it enabled. Like
-/// `VORTEX_SIM_THREADS` this knob never changes simulated behavior, only
-/// host wall-clock; reading it here (inside [`GpuConfig::with_cores`])
-/// lets CI run the entire suite with skipping disabled.
+/// including an unset variable — leaves it enabled. This knob never
+/// changes simulated behavior, only host wall-clock; reading it here
+/// (inside [`GpuConfig::with_cores`]) lets CI run the entire suite with
+/// skipping disabled.
 pub fn fast_forward_from_env() -> bool {
     match std::env::var("VORTEX_FF") {
         Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false"),

@@ -62,7 +62,7 @@ struct Completion {
 /// through an external entry point that unparks first.
 ///
 /// Parking is host-side scheduling, invisible to the simulated machine:
-/// it is never serialized, and every run loop flushes all parks before
+/// it is never serialized, and the run loop flushes all parks before
 /// returning so snapshots and profiles observe fully-replayed state.
 #[derive(Debug, Clone, Copy)]
 struct Park {
@@ -952,8 +952,8 @@ impl Core {
     /// protocol. `ram` is a read-snapshot of the functional memory; stores
     /// executed this cycle land in the core's write log and become globally
     /// visible only when the caller invokes [`Core::commit_stores`] (in
-    /// fixed core-id order, which is what makes parallel core ticking
-    /// deterministic).
+    /// fixed core-id order, so what a core reads never depends on where
+    /// it sits in the tick order).
     ///
     /// # Errors
     /// Propagates structured traps ([`SimError`]) from the issue and
@@ -1137,7 +1137,7 @@ impl Core {
     /// [`Core::bulk_advance`] applies for a skipped span, except the
     /// cycle counter, which already advanced tick by tick. Idempotent;
     /// called from every external entry point that could invalidate the
-    /// memoized horizon, and by the run loops before they return.
+    /// memoized horizon, and by the run loop before it returns.
     pub(crate) fn unpark(&mut self) {
         let Some(p) = self.park.take() else { return };
         if p.delta == 0 {
@@ -1344,7 +1344,7 @@ impl Core {
     /// RAM in program order and clears the log. The GPU level calls this
     /// for every core in ascending core-id order after all compute phases
     /// finish, so global store-application order is a pure function of the
-    /// configuration — never of host thread scheduling.
+    /// configuration.
     pub fn commit_stores(&mut self, ram: &mut Ram) {
         if !self.store_log.is_empty() {
             self.store_log.apply(ram);
@@ -1353,9 +1353,9 @@ impl Core {
 
     /// Decisions drawn across this core's fault plans (I-cache, D-cache,
     /// texture unit); 0 when no faults are attached. Part of the per-site
-    /// determinism audit: every per-core plan is ticked inside
-    /// [`Core::tick`] on exactly one thread, so equal draw totals across
-    /// host thread counts prove the streams stayed per-site deterministic.
+    /// determinism audit: every per-core plan is ticked only inside
+    /// [`Core::tick`], so equal draw totals across fast-forward and
+    /// resume variants prove the streams stayed per-site deterministic.
     pub fn fault_draws(&self) -> u64 {
         self.icache.fault_draws() + self.dcache.fault_draws() + self.tex_unit.fault_draws()
     }
@@ -1571,8 +1571,8 @@ impl Core {
     /// and re-decoded on restore.
     pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
         use vortex_snapshot::Snap;
-        // Parks are host-side scheduling, flushed by the run loops before
-        // they return; a snapshot must never observe one mid-span.
+        // Parks are host-side scheduling, flushed by the run loop before
+        // it returns; a snapshot must never observe one mid-span.
         debug_assert!(self.park.is_none(), "save_state with an active park");
         for wf in &self.wavefronts {
             wf.save_state(w);

@@ -35,9 +35,9 @@
 //! Each core accumulates its own [`CoreProfile`] in a `BTreeMap` keyed by
 //! PC; [`crate::Gpu::profile`] merges them in core-id order. Both
 //! iteration orders are total and data-independent, so the merged
-//! [`GpuProfile`] — and any rendering of it — is bit-identical across
-//! `sim_threads` values and across checkpoint/resume boundaries (the
-//! profile rides inside [`super::core::Core::save_state`]).
+//! [`GpuProfile`] — and any rendering of it — is bit-identical run to run
+//! and across checkpoint/resume boundaries (the profile rides inside
+//! [`super::core::Core::save_state`]).
 
 use crate::config::SMEM_BASE;
 use crate::exec::LaneAccess;

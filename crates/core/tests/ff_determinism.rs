@@ -3,9 +3,9 @@
 //! memory image, the telemetry time series, the rendered
 //! `vortex-profile-v1` document, fault-site draw counts, and snapshot
 //! bytes must be bit-identical with [`GpuConfig::fast_forward`] on or
-//! off — at any `sim_threads` setting. The workload is memory-bound
-//! (cold strided loads through the D$ into DRAM) precisely so real
-//! multi-hundred-cycle idle spans exist to skip.
+//! off. The workload is memory-bound (cold strided loads through the D$
+//! into DRAM) precisely so real multi-hundred-cycle idle spans exist to
+//! skip.
 
 use vortex_asm::Assembler;
 use vortex_core::{Gpu, GpuConfig, GpuStats, SimError};
@@ -44,21 +44,20 @@ fn kernel() -> Assembler {
     a
 }
 
-fn config(fast_forward: bool, sim_threads: usize, sample: u64, profile: bool) -> GpuConfig {
+fn config(fast_forward: bool, sample: u64, profile: bool) -> GpuConfig {
     let mut config = GpuConfig::with_cores(NUM_CORES);
     config.fast_forward = fast_forward;
-    config.sim_threads = sim_threads;
     config.sample_interval = sample;
     config.profile = profile;
     config
 }
 
 /// Same knobs on a clustered topology: 2 clusters of 2 cores behind
-/// per-cluster L2s and a shared L3 — the commit phase itself shards, and
-/// `sim_threads ≥ 2` engages the split-commit protocol whose quiet-shard
-/// early-outs must agree byte-for-byte with live ticking.
-fn clustered_config(fast_forward: bool, sim_threads: usize, sample: u64, profile: bool) -> GpuConfig {
-    let mut config = config(fast_forward, sim_threads, sample, profile);
+/// per-cluster L2s and a shared L3 — the commit phase walks the shards,
+/// whose quiet-shard early-outs must agree byte-for-byte with live
+/// ticking.
+fn clustered_config(fast_forward: bool, sample: u64, profile: bool) -> GpuConfig {
+    let mut config = config(fast_forward, sample, profile);
     config.cores_per_cluster = 2;
     config.l2 = Some(vortex_mem::hierarchy::l2_default());
     config.l3 = Some(vortex_mem::hierarchy::l3_default());
@@ -76,15 +75,25 @@ struct RunOutcome {
 
 fn run_with(
     fast_forward: bool,
-    sim_threads: usize,
     sample: u64,
     profile: bool,
     faults: Option<&FaultConfig>,
 ) -> RunOutcome {
-    run_cfg(config(fast_forward, sim_threads, sample, profile), faults)
+    run_cfg(config(fast_forward, sample, profile), faults)
 }
 
 fn run_cfg(config: GpuConfig, faults: Option<&FaultConfig>) -> RunOutcome {
+    drive_cfg(config, faults, |gpu| {
+        gpu.run(5_000_000).expect("kernel completes")
+    })
+}
+
+/// Boots [`kernel`] on `config` and lets `drive` take it to completion.
+fn drive_cfg(
+    config: GpuConfig,
+    faults: Option<&FaultConfig>,
+    drive: impl FnOnce(&mut Gpu) -> GpuStats,
+) -> RunOutcome {
     let prog = kernel().assemble(ENTRY).expect("kernel assembles");
     let mut gpu = Gpu::new(config);
     if let Some(f) = faults {
@@ -92,7 +101,7 @@ fn run_cfg(config: GpuConfig, faults: Option<&FaultConfig>) -> RunOutcome {
     }
     gpu.ram.write_bytes(prog.base, &prog.to_bytes());
     gpu.launch(prog.entry);
-    let stats = gpu.run(5_000_000).expect("kernel completes");
+    let stats = drive(&mut gpu);
     let mem = (OUT..OUT + 4 * NUM_CORES as u32)
         .map(|addr| gpu.ram.read_u8(addr))
         .collect();
@@ -120,8 +129,8 @@ fn assert_same(label: &str, live: &RunOutcome, ff: &RunOutcome) {
 }
 
 #[test]
-fn skipping_is_bit_identical_across_sim_threads() {
-    let live = run_with(false, 1, 0, false, None);
+fn skipping_is_bit_identical() {
+    let live = run_with(false, 0, false, None);
     assert_eq!(
         live.stats.cycles_skipped, 0,
         "skipping off must never skip"
@@ -132,45 +141,25 @@ fn skipping_is_bit_identical_across_sim_threads() {
     assert_eq!(sum0, 0, "cold RAM reads sum to zero");
     assert!(live.stats.merged_dcache().read_misses >= 16 * NUM_CORES as u64 / 4);
 
-    let mut ff_skips = None;
-    for threads in [1, 4] {
-        let ff = run_with(true, threads, 0, false, None);
-        assert_same(&format!("ff on, sim_threads {threads}"), &live, &ff);
-        assert!(
-            ff.stats.cycles_skipped > 0,
-            "memory-bound run must actually skip (threads {threads})"
-        );
-        assert!(ff.stats.skip_events > 0);
-        assert!(
-            ff.stats.cycles_skipped < ff.stats.cycles,
-            "skipped cycles are a subset of simulated cycles"
-        );
-        // The jump schedule is a pure function of simulated state, so the
-        // host-side accounting agrees across thread counts too.
-        match ff_skips {
-            None => ff_skips = Some((ff.stats.cycles_skipped, ff.stats.skip_events)),
-            Some(expect) => assert_eq!(
-                expect,
-                (ff.stats.cycles_skipped, ff.stats.skip_events),
-                "skip accounting across sim_threads"
-            ),
-        }
-        let live_par = run_with(false, threads, 0, false, None);
-        assert_same(&format!("ff off, sim_threads {threads}"), &live, &live_par);
-    }
+    let ff = run_with(true, 0, false, None);
+    assert_same("ff on", &live, &ff);
+    assert!(ff.stats.cycles_skipped > 0, "memory-bound run must actually skip");
+    assert!(ff.stats.skip_events > 0);
+    assert!(
+        ff.stats.cycles_skipped < ff.stats.cycles,
+        "skipped cycles are a subset of simulated cycles"
+    );
 }
 
 #[test]
 fn skipping_preserves_telemetry_and_profile() {
-    let live = run_with(false, 1, 64, true, None);
+    let live = run_with(false, 64, true, None);
     let series = live.series.as_ref().expect("sampling enabled");
     assert!(!series.samples.is_empty(), "run long enough to sample");
     assert!(live.profile_doc.is_some(), "profiling enabled");
-    for threads in [1, 4] {
-        let ff = run_with(true, threads, 64, true, None);
-        assert_same(&format!("sampled+profiled, threads {threads}"), &live, &ff);
-        assert!(ff.stats.cycles_skipped > 0, "windows don't stop skipping");
-    }
+    let ff = run_with(true, 64, true, None);
+    assert_same("sampled+profiled", &live, &ff);
+    assert!(ff.stats.cycles_skipped > 0, "windows don't stop skipping");
 }
 
 #[test]
@@ -182,40 +171,30 @@ fn fault_draws_identical_with_skipping() {
          dram_extra_latency=40,cache_rsp_stall=300",
     )
     .expect("valid spec");
-    let live = run_with(false, 1, 0, false, Some(&faults));
+    let live = run_with(false, 0, false, Some(&faults));
     assert!(
         live.fault_draws.iter().sum::<u64>() > 0,
         "fault streams actually consumed"
     );
-    for threads in [1, 4] {
-        let ff = run_with(true, threads, 0, false, Some(&faults));
-        assert_same(&format!("faulted, threads {threads}"), &live, &ff);
-    }
+    let ff = run_with(true, 0, false, Some(&faults));
+    assert_same("faulted", &live, &ff);
 }
 
 #[test]
 fn clustered_l2_l3_skipping_is_bit_identical() {
-    let live = run_cfg(clustered_config(false, 1, 64, true), None);
+    let live = run_cfg(clustered_config(false, 64, true), None);
     assert_eq!(live.stats.cycles_skipped, 0, "skipping off never skips");
     assert!(
         live.stats.dram_reads > 0,
         "traffic must reach DRAM through the L2/L3 levels"
     );
     assert!(live.profile_doc.is_some(), "profiling enabled");
-    for threads in [1, 2, 4] {
-        let ff = run_cfg(clustered_config(true, threads, 64, true), None);
-        assert_same(&format!("clustered ff on, threads {threads}"), &live, &ff);
-        assert!(
-            ff.stats.cycles_skipped > 0,
-            "clustered memory-bound run must actually skip (threads {threads})"
-        );
-        let live_par = run_cfg(clustered_config(false, threads, 64, true), None);
-        assert_same(
-            &format!("clustered ff off, threads {threads}"),
-            &live,
-            &live_par,
-        );
-    }
+    let ff = run_cfg(clustered_config(true, 64, true), None);
+    assert_same("clustered ff on", &live, &ff);
+    assert!(
+        ff.stats.cycles_skipped > 0,
+        "clustered memory-bound run must actually skip"
+    );
 }
 
 #[test]
@@ -225,14 +204,33 @@ fn clustered_fault_draws_identical_with_skipping() {
          dram_extra_latency=40,cache_rsp_stall=300",
     )
     .expect("valid spec");
-    let live = run_cfg(clustered_config(false, 1, 0, false), Some(&faults));
+    let live = run_cfg(clustered_config(false, 0, false), Some(&faults));
     assert!(
         live.fault_draws.iter().sum::<u64>() > 0,
         "fault streams actually consumed"
     );
-    for threads in [1, 2, 4] {
-        let ff = run_cfg(clustered_config(true, threads, 0, false), Some(&faults));
-        assert_same(&format!("clustered faulted, threads {threads}"), &live, &ff);
+    let ff = run_cfg(clustered_config(true, 0, false), Some(&faults));
+    assert_same("clustered faulted", &live, &ff);
+}
+
+/// [`Gpu::step`] is the run loop's live-tick body: driving it by hand to
+/// completion must land where `run` with skipping off does. (The run is
+/// shorter than one watchdog window, so the watchdog baseline inside the
+/// snapshot is the boot one on both sides and the bytes compare too.)
+#[test]
+fn hand_stepped_run_equals_run() {
+    for (label, cfg) in [
+        ("flat", config(false, 0, false)),
+        ("clustered", clustered_config(false, 0, false)),
+    ] {
+        let ran = run_cfg(cfg.clone(), None);
+        let stepped = drive_cfg(cfg, None, |gpu| {
+            while !gpu.is_done() {
+                gpu.step().expect("kernel does not trap");
+            }
+            gpu.stats()
+        });
+        assert_same(&format!("{label}: step vs run"), &ran, &stepped);
     }
 }
 
@@ -243,7 +241,7 @@ fn paused_machines_snapshot_identically() {
     // the live machine's snapshot bytes.
     let run_until = |fast_forward: bool, budget: u64| {
         let prog = kernel().assemble(ENTRY).expect("kernel assembles");
-        let mut gpu = Gpu::new(config(fast_forward, 1, 0, false));
+        let mut gpu = Gpu::new(config(fast_forward, 0, false));
         gpu.ram.write_bytes(prog.base, &prog.to_bytes());
         gpu.launch(prog.entry);
         assert_eq!(
@@ -267,8 +265,8 @@ fn gpu_stats_equality_ignores_host_skip_accounting() {
     // GpuStats equality is simulated-state equality: two identical
     // simulations that reached the end through different jump schedules
     // still compare equal, while any architectural divergence does not.
-    let a = run_with(false, 1, 0, false, None).stats;
-    let b = run_with(true, 1, 0, false, None).stats;
+    let a = run_with(false, 0, false, None).stats;
+    let b = run_with(true, 0, false, None).stats;
     assert_ne!(
         (a.cycles_skipped, a.skip_events),
         (b.cycles_skipped, b.skip_events)

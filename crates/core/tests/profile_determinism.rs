@@ -1,8 +1,8 @@
 //! The PC-level profiler's determinism contract: the merged
 //! [`vortex_core::GpuProfile`] — and therefore the rendered
-//! `vortex-profile-v1` export — must be *byte-identical* across
-//! `sim_threads` settings and across checkpoint/restore boundaries, and
-//! collecting it must not perturb a single architectural counter.
+//! `vortex-profile-v1` export — must be *byte-identical* run to run and
+//! across checkpoint/restore boundaries, and collecting it must not
+//! perturb a single architectural counter.
 //!
 //! The workload is a multi-core kernel with divergent branches and
 //! store→load D$ traffic, so every profiled dimension (issue counts, lane
@@ -56,10 +56,9 @@ fn kernel() -> Assembler {
 
 /// Runs [`kernel`] with profiling on and returns the merged profile, the
 /// architectural stats, and the rendered `vortex-profile-v1` document.
-fn profiled_run(sim_threads: usize, checkpoint_drill: u64) -> (GpuProfile, GpuStats, String) {
+fn profiled_run(checkpoint_drill: u64) -> (GpuProfile, GpuStats, String) {
     let prog = kernel().assemble(ENTRY).expect("kernel assembles");
     let mut config = GpuConfig::with_cores(NUM_CORES);
-    config.sim_threads = sim_threads;
     config.checkpoint_drill = checkpoint_drill;
     config.profile = true;
     let mut gpu = Gpu::new(config);
@@ -82,8 +81,8 @@ fn unprofiled_stats() -> GpuStats {
 }
 
 #[test]
-fn profile_is_byte_identical_across_sim_threads() {
-    let (p1, s1, doc1) = profiled_run(1, 0);
+fn profile_is_byte_identical_run_to_run() {
+    let (p1, s1, doc1) = profiled_run(0);
     assert!(!p1.sites.is_empty(), "kernel must produce profiled sites");
     assert!(
         p1.sites.values().any(|s| s.divergences > 0),
@@ -93,25 +92,23 @@ fn profile_is_byte_identical_across_sim_threads() {
         p1.sites.values().any(|s| s.loads > 0 && s.stores == 0),
         "load sites must be attributed"
     );
-    for threads in [2, 4] {
-        let (p, s, doc) = profiled_run(threads, 0);
-        assert_eq!(s1, s, "GpuStats across sim_threads {threads} vs 1");
-        assert_eq!(p1, p, "GpuProfile across sim_threads {threads} vs 1");
-        assert_eq!(
-            doc1.as_bytes(),
-            doc.as_bytes(),
-            "vortex-profile-v1 export must be byte-identical (sim_threads {threads} vs 1)"
-        );
-    }
+    let (p, s, doc) = profiled_run(0);
+    assert_eq!(s1, s, "GpuStats run to run");
+    assert_eq!(p1, p, "GpuProfile run to run");
+    assert_eq!(
+        doc1.as_bytes(),
+        doc.as_bytes(),
+        "vortex-profile-v1 export must be byte-identical run to run"
+    );
 }
 
 #[test]
 fn profile_survives_checkpoint_restore() {
-    let (p_plain, s_plain, doc_plain) = profiled_run(1, 0);
+    let (p_plain, s_plain, doc_plain) = profiled_run(0);
     // A tight drill forces many save→teardown→rebuild→restore round trips
     // mid-run; the profile payload rides in the core snapshot, so any
     // field missed by save/restore shows up as a diff here.
-    let (p_drill, s_drill, doc_drill) = profiled_run(1, 777);
+    let (p_drill, s_drill, doc_drill) = profiled_run(777);
     assert_eq!(s_plain, s_drill, "GpuStats across checkpoint drill");
     assert_eq!(p_plain, p_drill, "GpuProfile across checkpoint drill");
     assert_eq!(
@@ -119,15 +116,12 @@ fn profile_survives_checkpoint_restore() {
         doc_drill.as_bytes(),
         "vortex-profile-v1 export must survive checkpoint/restore byte-identically"
     );
-    // And the drill must also hold under parallel ticking.
-    let (p_both, _, _) = profiled_run(4, 777);
-    assert_eq!(p_plain, p_both, "GpuProfile, drilled + sim_threads 4");
 }
 
 #[test]
 fn profiling_is_observation_only_and_totals_match() {
     let baseline = unprofiled_stats();
-    let (profile, stats, _) = profiled_run(1, 0);
+    let (profile, stats, _) = profiled_run(0);
     assert_eq!(
         baseline, stats,
         "GpuStats must be bit-identical with profiling on/off"
@@ -155,7 +149,7 @@ fn profiling_is_observation_only_and_totals_match() {
 
 #[test]
 fn profile_json_round_trips_through_reader() {
-    let (profile, _, doc) = profiled_run(1, 0);
+    let (profile, _, doc) = profiled_run(0);
     let parsed = vortex_obs::parse_profile(&doc).expect("export parses");
     assert_eq!(profile, parsed, "reader must reconstruct the profile");
     // Re-rendering the parsed profile reproduces the document exactly.

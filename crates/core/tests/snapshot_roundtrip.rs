@@ -82,7 +82,6 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 fn make_config(case: &Case) -> GpuConfig {
     let mut config = GpuConfig::with_cores(case.cores);
     config.core = CoreConfig::with_dims(case.warps, case.threads);
-    config.sim_threads = 1;
     config.sample_interval = case.sample;
     config
 }

@@ -14,19 +14,16 @@
 //!
 //! The hierarchy is split along the cluster boundary: each per-cluster L2,
 //! together with its slice of core ports, lives in a [`ClusterShard`] that
-//! can be ticked independently (and therefore concurrently — the shards sit
-//! behind `Mutex`es so the commit phase can fan them out over worker
-//! threads). Everything below the L2s — the optional L3, the DRAM and the
-//! routing tables that span clusters — is advanced by [`MemHierarchy::merge`],
-//! which always runs serially and visits shards in ascending cluster order,
-//! keeping the cycle-level behaviour identical to a fully serial tick.
+//! ticks on its own against only its cluster's cores. Everything below the
+//! L2s — the optional L3, the DRAM and the routing tables that span
+//! clusters — is advanced by [`MemHierarchy::merge`], which visits shards
+//! in ascending cluster order after they have ticked.
 
 use crate::cache::{Cache, CacheConfig, CacheOccupancy};
 use crate::dram::{Dram, DramConfig};
 use crate::req::{MemReq, MemRsp, Tag};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 use vortex_faults::{site, FaultConfig};
 use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
@@ -338,10 +335,9 @@ impl SharedLevel {
 /// One independently tickable slice of the hierarchy: a per-cluster shared
 /// L2 plus the core ports of that cluster.
 ///
-/// Shards have no references into each other or into the serial remainder
-/// (L3/DRAM), so distinct shards can tick on distinct threads. Traffic
-/// crossing the cluster boundary in either direction only moves during
-/// [`MemHierarchy::merge`], which runs serially.
+/// Shards have no references into each other or into the remainder below
+/// them (L3/DRAM): traffic crossing the cluster boundary in either
+/// direction only moves during [`MemHierarchy::merge`].
 #[derive(Debug)]
 pub struct ClusterShard {
     level: SharedLevel,
@@ -458,10 +454,8 @@ fn drain_to_dram(dram: &mut Dram, tags: &mut TagTable, cache: &mut Cache, port: 
 #[derive(Debug)]
 pub struct MemHierarchy {
     config: HierarchyConfig,
-    /// Per-cluster shards (empty when no L2 is configured). The mutexes
-    /// are uncontended except during the fanned-out commit phase; serial
-    /// paths go through `get_mut` and pay nothing.
-    shards: Vec<Mutex<ClusterShard>>,
+    /// Per-cluster shards (empty when no L2 is configured).
+    shards: Vec<ClusterShard>,
     l3: Option<SharedLevel>,
     dram: Dram,
     dram_tags: TagTable,
@@ -483,11 +477,11 @@ impl MemHierarchy {
                 .map(|ci| {
                     let core_lo = ci * config.cores_per_cluster;
                     let core_hi = (core_lo + config.cores_per_cluster).min(config.num_cores);
-                    Mutex::new(ClusterShard {
+                    ClusterShard {
                         level: SharedLevel::new(*cfg, config.cores_per_cluster),
                         core_lo,
                         core_hi,
-                    })
+                    }
                 })
                 .collect(),
             None => Vec::new(),
@@ -513,15 +507,9 @@ impl MemHierarchy {
         self.shards.len()
     }
 
-    /// The shard array, for callers fanning the commit phase over worker
-    /// threads. Each shard's mutex must be held while ticking it.
-    pub fn shards(&self) -> &[Mutex<ClusterShard>] {
-        &self.shards
-    }
-
-    /// Direct (lock-free) access to one shard from serial code.
+    /// One shard, for the commit phase to drain, tick and deliver.
     pub fn shard_mut(&mut self, i: usize) -> &mut ClusterShard {
-        self.shards[i].get_mut().unwrap()
+        &mut self.shards[i]
     }
 
     /// Guaranteed flat-path admissions this cycle: free DRAM input slots,
@@ -593,7 +581,7 @@ impl MemHierarchy {
         } else {
             let cluster = core / self.config.cores_per_cluster;
             let port = core % self.config.cores_per_cluster;
-            self.shards[cluster].get_mut().unwrap().push_req(port, req)
+            self.shards[cluster].push_req(port, req)
         }
     }
 
@@ -604,23 +592,22 @@ impl MemHierarchy {
         } else {
             let cluster = core / self.config.cores_per_cluster;
             let port = core % self.config.cores_per_cluster;
-            self.shards[cluster].get_mut().unwrap().pop_rsp(port)
+            self.shards[cluster].pop_rsp(port)
         }
     }
 
-    /// Advances the serial remainder below the shards by one cycle:
-    /// drains each shard's L2 miss traffic downstream (ascending cluster
-    /// order), runs the L3 and the DRAM, and routes completions back up
-    /// into the shards' caches. Callers tick the shards first — serially
-    /// or fanned out over threads — then merge; [`MemHierarchy::tick`]
-    /// packages that sequence for serial use.
+    /// Advances the remainder below the shards by one cycle: drains each
+    /// shard's L2 miss traffic downstream (ascending cluster order), runs
+    /// the L3 and the DRAM, and routes completions back up into the
+    /// shards' caches. Callers tick the shards first, then merge;
+    /// [`MemHierarchy::tick`] packages that sequence.
     pub fn merge(&mut self) {
         let num_cores = self.config.num_cores;
         let nshards = self.shards.len();
 
         // L2 miss traffic → L3 (or DRAM).
         for ci in 0..nshards {
-            let cache = &mut self.shards[ci].get_mut().unwrap().level.cache;
+            let cache = &mut self.shards[ci].level.cache;
             match &mut self.l3 {
                 Some(l3) => {
                     // Both sides of this handshake are pure capacity checks,
@@ -662,12 +649,7 @@ impl MemHierarchy {
             } else {
                 let idx = port - num_cores;
                 if idx < nshards {
-                    self.shards[idx]
-                        .get_mut()
-                        .unwrap()
-                        .level
-                        .cache
-                        .push_mem_rsp(MemRsp { tag: orig });
+                    self.shards[idx].level.cache.push_mem_rsp(MemRsp { tag: orig });
                 } else if let Some(l3) = &mut self.l3 {
                     l3.cache.push_mem_rsp(MemRsp { tag: orig });
                 }
@@ -680,7 +662,7 @@ impl MemHierarchy {
                 if l3.rsp_out[ci].is_empty() {
                     continue;
                 }
-                let cache = &mut self.shards[ci].get_mut().unwrap().level.cache;
+                let cache = &mut self.shards[ci].level.cache;
                 while let Some(rsp) = l3.rsp_out[ci].pop_front() {
                     cache.push_mem_rsp(rsp);
                 }
@@ -689,11 +671,10 @@ impl MemHierarchy {
     }
 
     /// Advances every shared level and the DRAM by one cycle, moving
-    /// traffic between levels — the serial packaging of "tick every
-    /// non-quiescent shard, then merge".
+    /// traffic between levels — "tick every non-quiescent shard, then
+    /// merge".
     pub fn tick(&mut self) {
         for shard in &mut self.shards {
-            let shard = shard.get_mut().unwrap();
             if !shard.quiet() {
                 shard.begin_and_tick();
             }
@@ -704,7 +685,7 @@ impl MemHierarchy {
     /// Flushes every shared cache level (part of the `fence` path).
     pub fn flush(&mut self) {
         for shard in &mut self.shards {
-            shard.get_mut().unwrap().level.cache.flush();
+            shard.level.cache.flush();
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.flush();
@@ -715,10 +696,7 @@ impl MemHierarchy {
     pub fn is_idle(&self) -> bool {
         self.dram.is_idle()
             && self.dram_tags.is_empty()
-            && self
-                .shards
-                .iter()
-                .all(|s| s.lock().unwrap().level.is_idle())
+            && self.shards.iter().all(|s| s.level.is_idle())
             && self.l3.as_ref().is_none_or(SharedLevel::is_idle)
             && self.core_rsp.iter().all(VecDeque::is_empty)
     }
@@ -732,7 +710,7 @@ impl MemHierarchy {
     /// `u64::MAX` (outstanding routing tags alone hold no event — they
     /// wait on DRAM in-flight entries, which are accounted here).
     pub fn next_event_cycle(&self, now: u64) -> u64 {
-        let levels_idle = self.shards.iter().all(|s| s.lock().unwrap().quiet())
+        let levels_idle = self.shards.iter().all(ClusterShard::quiet)
             && self.l3.as_ref().is_none_or(SharedLevel::ff_idle)
             && self.core_rsp.iter().all(VecDeque::is_empty);
         if !levels_idle {
@@ -748,7 +726,7 @@ impl MemHierarchy {
     /// advancing.
     pub fn bulk_advance(&mut self, delta: u64) {
         for shard in &mut self.shards {
-            shard.get_mut().unwrap().level.begin_cycle();
+            shard.level.begin_cycle();
         }
         if let Some(l3) = &mut self.l3 {
             l3.begin_cycle();
@@ -773,21 +751,14 @@ impl MemHierarchy {
 
     /// L2 statistics per cluster (empty when no L2 is configured).
     pub fn l2_stats(&self) -> Vec<crate::cache::CacheStats> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().level.cache.stats)
-            .collect()
+        self.shards.iter().map(|s| s.level.cache.stats).collect()
     }
 
     /// Times any routing tag table grew past its reservation — the
     /// allocation audit's headline number; zero on fault-free runs.
     pub fn tag_grows(&self) -> u64 {
         self.dram_tags.grows
-            + self
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap().tag_grows())
-                .sum::<u64>()
+            + self.shards.iter().map(ClusterShard::tag_grows).sum::<u64>()
             + self.l3.as_ref().map_or(0, |l| l.tags.grows)
     }
 
@@ -805,12 +776,7 @@ impl MemHierarchy {
         }
         self.dram.set_fault(faults.plan(site::DRAM));
         for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard
-                .get_mut()
-                .unwrap()
-                .level
-                .cache
-                .set_fault(faults.plan(site::l2(i)));
+            shard.level.cache.set_fault(faults.plan(site::l2(i)));
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.set_fault(faults.plan(site::L3));
@@ -822,7 +788,7 @@ impl MemHierarchy {
     pub fn clear_faults(&mut self) {
         self.dram.clear_fault();
         for shard in &mut self.shards {
-            shard.get_mut().unwrap().level.cache.clear_fault();
+            shard.level.cache.clear_fault();
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.clear_fault();
@@ -838,7 +804,7 @@ impl MemHierarchy {
             + self
                 .shards
                 .iter()
-                .map(|s| s.lock().unwrap().level.cache.fault_draws())
+                .map(|s| s.level.cache.fault_draws())
                 .sum::<u64>()
             + self.l3.as_ref().map_or(0, |l| l.cache.fault_draws())
     }
@@ -848,7 +814,7 @@ impl MemHierarchy {
     /// response queues.
     pub fn save_state(&self, w: &mut Writer) {
         for shard in &self.shards {
-            shard.lock().unwrap().level.save_state(w);
+            shard.level.save_state(w);
         }
         if let Some(l3) = &self.l3 {
             l3.save_state(w);
@@ -865,7 +831,7 @@ impl MemHierarchy {
     /// configuration, never from the payload.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
         for shard in &mut self.shards {
-            shard.get_mut().unwrap().level.restore_state(r)?;
+            shard.level.restore_state(r)?;
         }
         if let Some(l3) = &mut self.l3 {
             l3.restore_state(r)?;
@@ -890,22 +856,14 @@ impl MemHierarchy {
             l2: self
                 .shards
                 .iter()
-                .map(|s| s.lock().unwrap().level.cache.occupancy())
+                .map(|s| s.level.cache.occupancy())
                 .collect(),
             l3: self.l3.as_ref().map(|l| l.cache.occupancy()),
             core_rsp_pending: self.core_rsp.iter().map(VecDeque::len).sum::<usize>()
                 + self
                     .shards
                     .iter()
-                    .map(|s| {
-                        s.lock()
-                            .unwrap()
-                            .level
-                            .rsp_out
-                            .iter()
-                            .map(VecDeque::len)
-                            .sum::<usize>()
-                    })
+                    .map(|s| s.level.rsp_out.iter().map(VecDeque::len).sum::<usize>())
                     .sum::<usize>(),
         }
     }

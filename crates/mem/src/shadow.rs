@@ -1,9 +1,9 @@
 //! Deferred stores for the two-phase commit protocol.
 //!
-//! The parallel simulator ticks every core's *compute phase* against a
-//! shared read-snapshot of [`Ram`], so nothing may mutate memory while the
-//! phase runs. Stores are therefore buffered in a per-core [`WriteLog`] and
-//! applied during the serial *commit phase*, in fixed core-id order. A
+//! The simulator ticks every core's *compute phase* against a shared
+//! read-snapshot of [`Ram`], so nothing may mutate memory while the phase
+//! runs. Stores are therefore buffered in a per-core [`WriteLog`] and
+//! applied during the *commit phase*, in fixed core-id order. A
 //! [`RamView`] bundles the snapshot with a core's log and presents the same
 //! read/write accessors as `Ram` itself, with one crucial property: reads
 //! see the core's *own* pending stores byte-accurately (read-your-write
@@ -11,10 +11,8 @@
 //! single core — including self-modifying code that fetches a word it just
 //! stored.
 //!
-//! The snapshot is shared by reference (the page directory is *not* cloned):
-//! the compute phase holds the one true `Ram` behind a read lock, which
-//! costs nothing per access and keeps resident pages shared across all
-//! worker threads.
+//! The snapshot is shared by reference (the page directory is *not*
+//! cloned): the compute phase borrows the one true `Ram` immutably.
 
 use crate::ram::Ram;
 

@@ -4,9 +4,8 @@
 //! standard flamegraph tooling, and label symbolization.
 //!
 //! Everything here is a pure function of a [`GpuProfile`] — which is
-//! itself bit-identical across `sim_threads` and checkpoint boundaries —
-//! so every artifact in this module inherits that determinism byte for
-//! byte.
+//! itself bit-identical run to run and across checkpoint boundaries — so
+//! every artifact in this module inherits that determinism byte for byte.
 
 use crate::json::{num, quote, Value};
 use std::fmt::Write as _;

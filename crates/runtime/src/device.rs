@@ -88,11 +88,6 @@ pub struct Device {
 
 impl Device {
     /// Opens a device with the given configuration.
-    ///
-    /// `GpuConfig::sim_threads` (seeded from `VORTEX_SIM_THREADS`)
-    /// carries through here unchanged: every kernel this device runs
-    /// ticks its cores on that many host threads, with results
-    /// bit-identical to a sequential device (DESIGN.md §10).
     pub fn new(config: GpuConfig) -> Self {
         Self {
             gpu: Gpu::new(config),
@@ -100,17 +95,6 @@ impl Device {
             heap_next: abi::HEAP_BASE,
             max_cycles: 500_000_000,
         }
-    }
-
-    /// Opens a device like [`Device::new`] but pinned to `threads` host
-    /// simulation threads, overriding the `VORTEX_SIM_THREADS` default
-    /// the configuration was built with. Convenience for hosts that
-    /// manage their own parallelism (e.g. sweep harnesses fanning whole
-    /// simulations out across workers want `1` here regardless of the
-    /// environment).
-    pub fn with_sim_threads(mut config: GpuConfig, threads: usize) -> Self {
-        config.sim_threads = threads.max(1);
-        Self::new(config)
     }
 
     /// Allocates `size` bytes of device memory (64-byte aligned, matching
@@ -383,19 +367,6 @@ mod tests {
         assert!(report.host_cycles > 0);
         // Both cores participated.
         assert!(report.stats.cores.iter().all(|c| c.instrs > 0));
-    }
-
-    /// The thread knob plumbs through the driver without changing any
-    /// observable behaviour: same kernel, same device shape, identical
-    /// stats and output whether the device ticks cores on 1 or 2 host
-    /// threads.
-    #[test]
-    fn sim_threads_knob_is_behavior_invisible() {
-        let config = GpuConfig::with_cores(4);
-        let (seq, seq_out) = run_scale_kernel(Device::with_sim_threads(config.clone(), 1));
-        let (par, par_out) = run_scale_kernel(Device::with_sim_threads(config, 2));
-        assert_eq!(seq_out, par_out);
-        assert_eq!(seq.stats, par.stats);
     }
 
     /// Launches the gtid*scale kernel on `dev` and returns the run
