@@ -41,6 +41,44 @@ fn decode_memo_is_timing_invisible() {
     }
 }
 
+/// Every instruction word the registered workloads execute resolves to the
+/// same slot (need mask, gate, fetch-blocking) through the decode memo —
+/// on a miss, on a hit, and after other words have contended for its entry
+/// — as through a fresh `Slot::resolve`; and the workloads themselves run
+/// identically, stats and per-PC profile, with the memo on and off.
+#[test]
+fn memoized_slots_equal_fresh_resolution_on_every_workload_word() {
+    use vortex_core::decode_cache::DecodeCache;
+    use vortex_core::frontend::Slot;
+    for (name, bench) in vortex_bench::registered_benches(true) {
+        let run = |memo: bool| {
+            let mut config = GpuConfig::with_cores(4);
+            config.profile = true;
+            config.core.decode_cache = memo;
+            let r = bench.run_on(&config);
+            assert!(r.validated, "{name} must validate");
+            (r.stats, r.profile.expect("profiling enabled"))
+        };
+        let (stats_on, profile_on) = run(true);
+        let (stats_off, profile_off) = run(false);
+        assert_eq!(stats_on, stats_off, "{name}: GpuStats, memo on/off");
+        assert_eq!(profile_on, profile_off, "{name}: profile, memo on/off");
+        assert!(profile_on.sites.len() > 20, "{name}: profile covers the kernel");
+        let mut memo = DecodeCache::new();
+        for pass in 0..2 {
+            for (&pc, site) in &profile_on.sites {
+                let instr = vortex_isa::decode(site.word).expect("executed word decodes");
+                assert_eq!(
+                    memo.decode(site.word).expect("executed word decodes").at(pc),
+                    Slot::resolve(&instr).at(pc),
+                    "{name} pass {pass} pc {pc:#x} word {:#010x}",
+                    site.word
+                );
+            }
+        }
+    }
+}
+
 /// Telemetry sampling is read-only observation: every workload must
 /// produce bit-identical `GpuStats` (cycles, instruction counts, cache
 /// counters, stall breakdowns — everything) with sampling off and with an

@@ -22,23 +22,32 @@
 //! per cycle). Multi-wavefront interleaving on top of this modest
 //! per-wavefront pipelining is what fills the machine — the behaviour the
 //! paper's design-space study (Figure 14) explores.
+//!
+//! The buffer is a fixed two-entry ring of pre-resolved
+//! [`Slot`](crate::frontend::Slot)s, and the per-wavefront front-end
+//! predicates (buffer non-empty / full, redirect pending, fetch
+//! outstanding) are mirrored as `u64` masks in
+//! [`FrontEnd`](crate::frontend::FrontEnd): a live tick answers "which
+//! wavefronts can fetch / may issue / are all idle" with a few word
+//! operations and walks only the wavefronts that qualify.
 
 use crate::barrier::{BarrierOutcome, BarrierTable};
 use crate::config::CoreConfig;
 use crate::decode_cache::DecodeCache;
 use crate::error::{CoreHangState, SimError, WarpHangState};
 use crate::exec::{self, CsrFile, ExecEnv, ExecPool, FuKind, Trap, Writeback};
+use crate::frontend::{FrontEnd, Gate, Slot};
 use crate::lsu::{tags, Lsu};
 use crate::profile::CoreProfile;
 use crate::regfile::RegFile;
-use crate::scheduler::WavefrontScheduler;
+use crate::scheduler::{rr_order, wavefront_mask, WavefrontScheduler};
 use crate::scoreboard::{RegId, Scoreboard};
 use crate::stats::CoreStats;
 use crate::trace::{Trace, TraceEvent};
 use crate::warp::{StallReason, Wavefront};
 use std::collections::HashMap;
 use vortex_faults::{site, FaultConfig};
-use vortex_isa::{decode, CsrSrc, Instr, Reg};
+use vortex_isa::Reg;
 use vortex_mem::{Cache, MemReq, MemRsp, Ram, RamView, SharedMem, Tag, WriteLog};
 use vortex_tex::{TexRequest, TexUnit};
 
@@ -89,21 +98,28 @@ struct Park {
 struct IssueScan {
     /// Wavefront the issue stage would pick this cycle, if any.
     picked: Option<usize>,
-    /// At least one candidate lost the scoreboard hazard check.
-    blocked_scoreboard: bool,
-    /// At least one candidate found its functional unit busy.
-    blocked_fu: bool,
-    /// First scoreboard-blocked candidate in round-robin order
-    /// (`usize::MAX` when none) — the profiler's attribution site.
-    first_scoreboard_wid: usize,
-    /// First FU-blocked candidate in round-robin order (`usize::MAX`
-    /// when none).
-    first_fu_wid: usize,
+    /// First candidate in round-robin order that lost the scoreboard
+    /// hazard check.
+    scoreboard_blocked: Option<usize>,
+    /// First candidate in round-robin order that found its functional
+    /// unit busy.
+    fu_blocked: Option<usize>,
     /// Earliest `busy_until` among candidates blocked on a *timed*
     /// (div/fdiv/fsqrt) unit; `u64::MAX` when every block is
     /// state-based (LSU/texture acceptance), which only clears via
     /// events accounted elsewhere.
     next_fu_ready: u64,
+}
+
+impl IssueScan {
+    /// The wavefront whose head instruction a no-pick cycle is charged to
+    /// by the profiler: the first scoreboard-blocked candidate, else the
+    /// first FU-blocked one (mirroring the stall-bucket priority). `None`
+    /// for `ibuffer_empty`, which has no waiting instruction and stays
+    /// whole-core only.
+    fn stall_wid(&self) -> Option<usize> {
+        self.scoreboard_blocked.or(self.fu_blocked)
+    }
 }
 
 /// A global-barrier arrival the GPU level must process.
@@ -138,17 +154,11 @@ pub struct Core {
     tex_unit: TexUnit,
     lsu: Lsu,
 
-    /// Per-wavefront outstanding fetch PC.
-    fetch_pending: Vec<Option<u32>>,
-    /// Per-wavefront decoded instruction buffer (depth
-    /// [`Core::IBUFFER_DEPTH`]).
-    /// Per-wavefront decoded-instruction buffers. Each entry carries the
-    /// instruction, its PC, and its precomputed scoreboard need mask (see
-    /// [`Core::hazard_mask`]).
-    ibuffer: Vec<std::collections::VecDeque<(Instr, u32, u64)>>,
-    /// Per-wavefront flag: a PC-redirecting instruction is decoded but not
-    /// yet executed, so the next fetch address is unknown.
-    cf_block: Vec<bool>,
+    /// Per-wavefront instruction buffers, redirect blocks and outstanding
+    /// fetches, with their mask mirrors.
+    front: FrontEnd,
+    /// One bit per wavefront of this core.
+    all_wavefronts: u64,
     /// Fast-path I-cache hits waiting their fixed latency:
     /// `(ready cycle, wavefront, pc)`.
     fast_fetch: std::collections::VecDeque<(u64, usize, u32)>,
@@ -222,9 +232,6 @@ pub struct Core {
 }
 
 impl Core {
-    /// Instruction-buffer depth per wavefront.
-    pub const IBUFFER_DEPTH: usize = 2;
-
     /// Shortest proven-idle span worth parking for: below this the
     /// park/replay bookkeeping costs about as much as the live idle
     /// ticks it would skip (short fetch bubbles in particular).
@@ -233,26 +240,6 @@ impl Core {
     /// core bouncing between short bubbles doesn't pay the probe every
     /// cycle. A successful issue resets the gate (see `park_mark`).
     const PARK_PROBE_BACKOFF: u32 = 3;
-
-    /// `true` for instructions the front end must not fetch past: PC
-    /// redirects (branch/jump/`join`) and instructions that may halt or
-    /// stall the wavefront (`ecall`/`ebreak`/`tmc`/`bar`/`fence`) — the
-    /// next fetch address or even the wavefront's liveness is unknown
-    /// until they execute.
-    fn blocks_fetch(instr: &Instr) -> bool {
-        matches!(
-            instr,
-            Instr::Branch { .. }
-                | Instr::Jal { .. }
-                | Instr::Jalr { .. }
-                | Instr::Join
-                | Instr::Ecall
-                | Instr::Ebreak
-                | Instr::Tmc { .. }
-                | Instr::Bar { .. }
-                | Instr::Fence
-        )
-    }
 
     /// Builds core `id` of `num_cores` with the given configuration.
     pub fn new(id: usize, num_cores: usize, config: CoreConfig) -> Self {
@@ -273,9 +260,8 @@ impl Core {
             smem: SharedMem::new(config.smem),
             tex_unit: TexUnit::new(config.tex),
             lsu: Lsu::new(config.lsu_entries),
-            fetch_pending: vec![None; nw],
-            ibuffer: (0..nw).map(|_| std::collections::VecDeque::new()).collect(),
-            cf_block: vec![false; nw],
+            front: FrontEnd::new(nw),
+            all_wavefronts: wavefront_mask(nw),
             fast_fetch: std::collections::VecDeque::new(),
             fetch_req: Vec::with_capacity(1),
             decode_memo: config.decode_cache.then(DecodeCache::new),
@@ -324,9 +310,7 @@ impl Core {
         for wid in 0..self.config.num_wavefronts {
             self.wavefronts[wid].halt();
             self.scoreboard.clear_wavefront(wid);
-            self.ibuffer[wid].clear();
-            self.cf_block[wid] = false;
-            self.fetch_pending[wid] = None;
+            self.front.clear(wid);
         }
         self.fast_fetch.clear();
         self.completions.clear();
@@ -361,111 +345,6 @@ impl Core {
     /// The per-core configuration.
     pub fn config(&self) -> &CoreConfig {
         &self.config
-    }
-
-    /// Registers an instruction reads or writes, written into `out`
-    /// (sources first, destination last) for the scoreboard hazard check;
-    /// returns the filled length. Stack-allocated by the caller: the issue
-    /// stage runs this for every candidate wavefront every cycle, so this
-    /// path must not heap-allocate. Four slots suffice — the widest cases
-    /// (`fma`, `tex`) use three sources plus a destination.
-    fn hazard_regs(instr: &Instr, out: &mut [RegId; 4]) -> usize {
-        use Instr::*;
-        let mut n = 0usize;
-        let mut push = |r: RegId| {
-            out[n] = r;
-            n += 1;
-        };
-        match *instr {
-            Lui { rd, .. } | Auipc { rd, .. } | Jal { rd, .. } => push(rd.into()),
-            Jalr { rd, rs1, .. } => {
-                push(rs1.into());
-                push(rd.into());
-            }
-            Branch { rs1, rs2, .. } | Store { rs1, rs2, .. } => {
-                push(rs1.into());
-                push(rs2.into());
-            }
-            Fsw { rs1, rs2, .. } => {
-                push(rs1.into());
-                push(rs2.into());
-            }
-            Load { rd, rs1, .. } | OpImm { rd, rs1, .. } => {
-                push(rs1.into());
-                push(rd.into());
-            }
-            Flw { rd, rs1, .. } => {
-                push(rs1.into());
-                push(rd.into());
-            }
-            Op { rd, rs1, rs2, .. } => {
-                push(rs1.into());
-                push(rs2.into());
-                push(rd.into());
-            }
-            Fence | Ecall | Ebreak | Join => {}
-            Csr { rd, src, .. } => {
-                if let CsrSrc::Reg(r) = src {
-                    push(r.into());
-                }
-                if rd != Reg::X0 {
-                    push(rd.into());
-                }
-            }
-            Fma {
-                rd, rs1, rs2, rs3, ..
-            } => {
-                push(rs1.into());
-                push(rs2.into());
-                push(rs3.into());
-                push(rd.into());
-            }
-            FpOp { rd, rs1, rs2, .. } => {
-                push(rs1.into());
-                push(rs2.into());
-                push(rd.into());
-            }
-            FpCmp { rd, rs1, rs2, .. } => {
-                push(rs1.into());
-                push(rs2.into());
-                push(rd.into());
-            }
-            FpToInt { rd, rs1, .. } | FmvToInt { rd, rs1 } | FClass { rd, rs1 } => {
-                push(rs1.into());
-                push(rd.into());
-            }
-            IntToFp { rd, rs1, .. } | FmvFromInt { rd, rs1 } => {
-                push(rs1.into());
-                push(rd.into());
-            }
-            Tmc { rs1 } | Split { rs1 } => push(rs1.into()),
-            Wspawn { rs1, rs2 } | Bar { rs1, rs2 } => {
-                push(rs1.into());
-                push(rs2.into());
-            }
-            Tex { rd, u, v, lod, .. } => {
-                push(u.into());
-                push(v.into());
-                push(lod.into());
-                push(rd.into());
-            }
-        }
-        n
-    }
-
-    /// The hazard registers of `instr` folded into a 64-bit mask matching
-    /// the scoreboard's pending-bit layout. Computed once per *decoded*
-    /// instruction (at ibuffer insert) so the issue stage's per-cycle
-    /// hazard check is a single AND instead of re-deriving the register
-    /// list of a blocked instruction every cycle it waits.
-    fn hazard_mask(instr: &Instr) -> u64 {
-        let mut need = [RegId(0); 4];
-        let n = Self::hazard_regs(instr, &mut need);
-        let mut mask = 0u64;
-        for r in &need[..n] {
-            mask |= 1 << r.0;
-        }
-        mask
     }
 
     /// Applies a writeback and returns its values buffer to the exec pool
@@ -530,68 +409,33 @@ impl Core {
     /// [`Core::bulk_advance`] (which replays the classification for every
     /// skipped cycle), so all three agree bit for bit.
     fn issue_scan(&self) -> IssueScan {
-        let nw = self.config.num_wavefronts;
         let mut scan = IssueScan {
             picked: None,
-            blocked_scoreboard: false,
-            blocked_fu: false,
-            first_scoreboard_wid: usize::MAX,
-            first_fu_wid: usize::MAX,
+            scoreboard_blocked: None,
+            fu_blocked: None,
             next_fu_ready: u64::MAX,
         };
-        for i in 0..nw {
-            let wid = (self.issue_rr + i) % nw;
-            let Some(&(ref instr, _pc, need)) = self.ibuffer[wid].front() else {
-                continue;
-            };
-            // Hazard check: one AND against the precomputed need mask.
-            if self.scoreboard.pending_mask(wid) & need != 0 {
-                if !scan.blocked_scoreboard {
-                    scan.first_scoreboard_wid = wid;
-                }
-                scan.blocked_scoreboard = true;
+        for wid in rr_order(self.front.nonempty(), self.issue_rr) {
+            let slot = self.front.front(wid).expect("non-empty mask bit");
+            // Hazard check: one AND against the pre-resolved need mask.
+            if self.scoreboard.pending_mask(wid) & slot.need != 0 {
+                scan.scoreboard_blocked.get_or_insert(wid);
                 continue;
             }
             // `timer` is the busy-until deadline when the block is a timed
             // unit: the earliest cycle the scan outcome can change without
             // any other event.
-            let mut timer = u64::MAX;
-            let fu_free = match instr {
-                Instr::Load { .. } | Instr::Flw { .. } => self.lsu.can_accept_load(),
-                Instr::Store { .. } | Instr::Fsw { .. } => self.lsu.can_accept_store(),
-                Instr::Op { op, .. } if op.is_muldiv() => {
-                    if matches!(
-                        op,
-                        vortex_isa::OpKind::Div
-                            | vortex_isa::OpKind::Divu
-                            | vortex_isa::OpKind::Rem
-                            | vortex_isa::OpKind::Remu
-                    ) {
-                        timer = self.div_busy_until;
-                        self.div_busy_until <= self.cycle
-                    } else {
-                        true
-                    }
-                }
-                Instr::FpOp { op, .. } => match op {
-                    vortex_isa::FpOpKind::Div => {
-                        timer = self.fdiv_busy_until;
-                        self.fdiv_busy_until <= self.cycle
-                    }
-                    vortex_isa::FpOpKind::Sqrt => {
-                        timer = self.fsqrt_busy_until;
-                        self.fsqrt_busy_until <= self.cycle
-                    }
-                    _ => true,
-                },
-                Instr::Tex { .. } => self.tex_unit.can_accept(),
-                _ => true,
+            let (fu_free, timer) = match slot.gate {
+                Gate::Free => (true, u64::MAX),
+                Gate::Load => (self.lsu.can_accept_load(), u64::MAX),
+                Gate::Store => (self.lsu.can_accept_store(), u64::MAX),
+                Gate::Tex => (self.tex_unit.can_accept(), u64::MAX),
+                Gate::Div => (self.div_busy_until <= self.cycle, self.div_busy_until),
+                Gate::FDiv => (self.fdiv_busy_until <= self.cycle, self.fdiv_busy_until),
+                Gate::FSqrt => (self.fsqrt_busy_until <= self.cycle, self.fsqrt_busy_until),
             };
             if !fu_free {
-                if !scan.blocked_fu {
-                    scan.first_fu_wid = wid;
-                }
-                scan.blocked_fu = true;
+                scan.fu_blocked.get_or_insert(wid);
                 scan.next_fu_ready = scan.next_fu_ready.min(timer);
                 continue;
             }
@@ -607,46 +451,28 @@ impl Core {
     /// Propagates execution traps (divergence misuse, divergent branches)
     /// as [`SimError`]s carrying the trap site.
     fn issue_stage(&mut self, ram: &Ram) -> Result<(), SimError> {
-        let nw = self.config.num_wavefronts;
-        let IssueScan {
-            picked,
-            blocked_scoreboard,
-            blocked_fu,
-            first_scoreboard_wid,
-            first_fu_wid,
-            ..
-        } = self.issue_scan();
-
-        let Some(wid) = picked else {
-            if blocked_scoreboard {
-                self.stats.stalls.scoreboard += 1;
-            } else if blocked_fu {
-                self.stats.stalls.fu_busy += 1;
-            } else {
-                self.stats.stalls.ibuffer_empty += 1;
-            }
+        let scan = self.issue_scan();
+        let Some(wid) = scan.picked else {
+            let (scoreboard, fu) = (scan.scoreboard_blocked.is_some(), scan.fu_blocked.is_some());
+            self.stats.stalls.charge(scoreboard, fu, 1);
             if let Some(p) = self.profile.as_deref_mut() {
-                // Mirror the bucket priority above: the cycle is charged
-                // to the first scoreboard-blocked candidate, else the
-                // first FU-blocked one. `ibuffer_empty` has no waiting
-                // instruction and stays whole-core only.
-                let stall_wid = if blocked_scoreboard {
-                    first_scoreboard_wid
-                } else if blocked_fu {
-                    first_fu_wid
-                } else {
-                    usize::MAX
-                };
-                if stall_wid != usize::MAX {
-                    if let Some(&(ref instr, pc, _need)) = self.ibuffer[stall_wid].front() {
-                        p.record_stall(pc, || vortex_isa::encode(instr), blocked_scoreboard);
-                    }
+                if let Some(slot) = scan.stall_wid().and_then(|w| self.front.front(w)) {
+                    p.record_stall(slot.pc, || vortex_isa::encode(&slot.instr), scoreboard);
                 }
             }
             return Ok(());
         };
-        self.issue_rr = (wid + 1) % nw;
-        let (instr, instr_pc, _need) = self.ibuffer[wid].pop_front().expect("picked non-empty");
+        self.issue_rr = if wid + 1 == self.config.num_wavefronts {
+            0
+        } else {
+            wid + 1
+        };
+        let Slot {
+            instr,
+            pc: instr_pc,
+            blocks_fetch,
+            ..
+        } = self.front.pop(wid).expect("picked non-empty");
 
         // Execute functionally.
         let env = ExecEnv {
@@ -659,11 +485,11 @@ impl Core {
         };
         let wf = &mut self.wavefronts[wid];
         let tmask_at_issue = wf.tmask;
-        if Self::blocks_fetch(&instr) {
-            // The front end stalled at this instruction; resolve the PC
-            // now (execution overwrites it on taken redirects).
+        if blocks_fetch {
+            // The front end stalled at this instruction (the pop above
+            // lifted its redirect block); resolve the PC now (execution
+            // overwrites it on taken redirects).
             wf.pc = instr_pc.wrapping_add(4);
-            self.cf_block[wid] = false;
         }
         // Execute against the RAM snapshot with stores deferred into this
         // core's write log (read-your-write preserved by the view).
@@ -688,9 +514,7 @@ impl Core {
             })?;
         if result.halted {
             // Discard any prefetched work of the halted wavefront.
-            self.ibuffer[wid].clear();
-            self.cf_block[wid] = false;
-            self.fetch_pending[wid] = None;
+            self.front.clear(wid);
         }
 
         self.stats.instrs += 1;
@@ -844,9 +668,7 @@ impl Core {
             if wid != caller && !self.wavefronts[wid].active {
                 self.wavefronts[wid].spawn(pc, 1);
                 self.scoreboard.clear_wavefront(wid);
-                self.ibuffer[wid].clear();
-                self.cf_block[wid] = false;
-                self.fetch_pending[wid] = None;
+                self.front.clear(wid);
             }
         }
     }
@@ -868,14 +690,8 @@ impl Core {
     /// so the cycle is not skippable.
     fn fetch_ready_mask(&self) -> u64 {
         let mut ready_mask = 0u64;
-        for (wid, wf) in self.wavefronts.iter().enumerate() {
-            if wf.schedulable()
-                && self.ibuffer[wid].len() < Self::IBUFFER_DEPTH
-                && !self.cf_block[wid]
-                && self.fetch_pending[wid].is_none()
-            {
-                ready_mask |= 1 << wid;
-            }
+        for wid in rr_order(self.all_wavefronts & !self.front.fetch_blocked(), 0) {
+            ready_mask |= u64::from(self.wavefronts[wid].schedulable()) << wid;
         }
         ready_mask
     }
@@ -894,14 +710,14 @@ impl Core {
         if self.icache.lookup_for_fetch(pc) {
             // Two-cycle hit path.
             self.fast_fetch.push_back((self.cycle + 2, wid, pc));
-            self.fetch_pending[wid] = Some(pc);
+            self.front.set_fetch_pending(wid, pc);
             return;
         }
         self.fetch_req.clear();
         self.fetch_req.push(MemReq::read(wid as Tag, pc));
         self.icache.offer(&mut self.fetch_req);
         if self.fetch_req.is_empty() {
-            self.fetch_pending[wid] = Some(pc);
+            self.front.set_fetch_pending(wid, pc);
         }
         // Rejected (bank busy / FIFO full): retry next cycle.
     }
@@ -926,17 +742,14 @@ impl Core {
         // the lookup key, never the cached mapping.
         let decoded = match self.decode_memo.as_mut() {
             Some(memo) => memo.decode(word),
-            None => decode(word),
+            None => Slot::decode(word),
         };
         match decoded {
-            Ok(instr) => {
-                if Self::blocks_fetch(&instr) {
-                    self.cf_block[wid] = true;
-                } else {
+            Ok(slot) => {
+                if !slot.blocks_fetch {
                     self.wavefronts[wid].pc = pc.wrapping_add(4);
                 }
-                let need = Self::hazard_mask(&instr);
-                self.ibuffer[wid].push_back((instr, pc, need));
+                self.front.push(wid, slot.at(pc));
                 Ok(())
             }
             Err(_) => Err(SimError::IllegalInstruction {
@@ -993,10 +806,9 @@ impl Core {
         // blocks the next memory instruction (the throughput cost virtual
         // multi-porting removes).
         if let Some(group) = self.lsu.dcache_groups.front_mut() {
-            let stores_before = group.iter().filter(|r| r.write).count();
+            let writes_before = self.dcache.stats.writes;
             self.dcache.offer(group);
-            let stores_after = group.iter().filter(|r| r.write).count();
-            let accepted_stores = stores_before - stores_after;
+            let accepted_stores = (self.dcache.stats.writes - writes_before) as usize;
             if group.is_empty() {
                 let drained = self.lsu.dcache_groups.pop_front().expect("front exists");
                 self.lsu.recycle_group(drained);
@@ -1032,15 +844,15 @@ impl Core {
                 break;
             }
             self.fast_fetch.pop_front();
-            if self.fetch_pending[wid] == Some(pc) {
-                self.fetch_pending[wid] = None;
+            if self.front.fetch_pending(wid) == Some(pc) {
+                self.front.take_fetch_pending(wid);
                 self.decode_into_ibuffer(wid, pc, ram)?;
             }
         }
         // I-cache miss responses → decode into the ibuffer.
         while let Some(MemRsp { tag }) = self.icache.pop_rsp() {
             let wid = tag as usize;
-            let Some(pc) = self.fetch_pending[wid].take() else {
+            let Some(pc) = self.front.take_fetch_pending(wid) else {
                 continue;
             };
             self.decode_into_ibuffer(wid, pc, ram)?;
@@ -1072,6 +884,7 @@ impl Core {
         }
 
         self.cycle += 1;
+        self.check_front_end_masks();
 
         // Quiescence detection for the fast path above. The first clause
         // fails on the first active wavefront, so live cores pay almost
@@ -1110,25 +923,17 @@ impl Core {
             return;
         }
         let scan = scan.expect("a future horizon implies the scan ran");
-        let stall_wid = if scan.blocked_scoreboard {
-            scan.first_scoreboard_wid
-        } else if scan.blocked_fu {
-            scan.first_fu_wid
-        } else {
-            usize::MAX
-        };
-        let site = if self.profile.is_some() && stall_wid != usize::MAX {
-            self.ibuffer[stall_wid]
-                .front()
-                .map(|&(ref instr, pc, _need)| (pc, vortex_isa::encode(instr)))
-        } else {
-            None
-        };
+        let site = self
+            .profile
+            .as_ref()
+            .and(scan.stall_wid())
+            .and_then(|w| self.front.front(w))
+            .map(|slot| (slot.pc, vortex_isa::encode(&slot.instr)));
         self.park = Some(Park {
             until: horizon,
             delta: 0,
-            blocked_scoreboard: scan.blocked_scoreboard,
-            blocked_fu: scan.blocked_fu,
+            blocked_scoreboard: scan.scoreboard_blocked.is_some(),
+            blocked_fu: scan.fu_blocked.is_some(),
             site,
         });
     }
@@ -1148,13 +953,9 @@ impl Core {
         // after a parked span match the unskipped bytes.
         self.icache.begin_cycle();
         self.dcache.begin_cycle();
-        if p.blocked_scoreboard {
-            self.stats.stalls.scoreboard += p.delta;
-        } else if p.blocked_fu {
-            self.stats.stalls.fu_busy += p.delta;
-        } else {
-            self.stats.stalls.ibuffer_empty += p.delta;
-        }
+        self.stats
+            .stalls
+            .charge(p.blocked_scoreboard, p.blocked_fu, p.delta);
         if let Some(prof) = self.profile.as_deref_mut() {
             if let Some((pc, word)) = p.site {
                 prof.record_stall_n(pc, || word, p.blocked_scoreboard, p.delta);
@@ -1176,8 +977,7 @@ impl Core {
             && self.fence_waiters.is_empty()
             && self.global_barrier_out.is_empty()
             && self.tex_mem_pending.is_empty()
-            && self.fetch_pending.iter().all(Option::is_none)
-            && self.ibuffer.iter().all(std::collections::VecDeque::is_empty)
+            && self.front.is_idle()
             && self.is_done_slow()
     }
 
@@ -1313,26 +1113,17 @@ impl Core {
         self.dcache.begin_cycle();
         let scan = self.issue_scan();
         debug_assert!(scan.picked.is_none(), "bulk_advance over an issuable span");
-        if scan.blocked_scoreboard {
-            self.stats.stalls.scoreboard += delta;
-        } else if scan.blocked_fu {
-            self.stats.stalls.fu_busy += delta;
-        } else {
-            self.stats.stalls.ibuffer_empty += delta;
-        }
+        let (scoreboard, fu) = (scan.scoreboard_blocked.is_some(), scan.fu_blocked.is_some());
+        self.stats.stalls.charge(scoreboard, fu, delta);
         if let Some(p) = self.profile.as_deref_mut() {
             // Same attribution site as the issue stage's no-pick path.
-            let stall_wid = if scan.blocked_scoreboard {
-                scan.first_scoreboard_wid
-            } else if scan.blocked_fu {
-                scan.first_fu_wid
-            } else {
-                usize::MAX
-            };
-            if stall_wid != usize::MAX {
-                if let Some(&(ref instr, pc, _need)) = self.ibuffer[stall_wid].front() {
-                    p.record_stall_n(pc, || vortex_isa::encode(instr), scan.blocked_scoreboard, delta);
-                }
+            if let Some(slot) = scan.stall_wid().and_then(|w| self.front.front(w)) {
+                p.record_stall_n(
+                    slot.pc,
+                    || vortex_isa::encode(&slot.instr),
+                    scoreboard,
+                    delta,
+                );
             }
         }
         self.smem.advance(delta);
@@ -1379,13 +1170,9 @@ impl Core {
         // samples in particular — see the same counters a live run
         // would.
         if let Some(p) = &self.park {
-            if p.blocked_scoreboard {
-                stats.stalls.scoreboard += p.delta;
-            } else if p.blocked_fu {
-                stats.stalls.fu_busy += p.delta;
-            } else {
-                stats.stalls.ibuffer_empty += p.delta;
-            }
+            stats
+                .stalls
+                .charge(p.blocked_scoreboard, p.blocked_fu, p.delta);
         }
         stats.cycles = self.cycle;
         stats.icache = self.icache.stats;
@@ -1399,7 +1186,7 @@ impl Core {
     /// Decoded instructions parked across all wavefront ibuffers right
     /// now (telemetry-sampler probe).
     pub fn ibuffer_occupancy(&self) -> usize {
-        self.ibuffer.iter().map(std::collections::VecDeque::len).sum()
+        self.front.occupancy()
     }
 
     /// D-cache MSHR entries outstanding right now (telemetry-sampler
@@ -1458,8 +1245,8 @@ impl Core {
                     pc: w.pc,
                     tmask: w.tmask,
                     stall: w.stall,
-                    ibuffer: self.ibuffer[w.wid].len(),
-                    fetch_pending: self.fetch_pending[w.wid].is_some(),
+                    ibuffer: self.front.len(w.wid),
+                    fetch_pending: self.front.fetch_pending(w.wid).is_some(),
                 })
                 .collect(),
             lsu_pending: self.lsu.pending(),
@@ -1522,24 +1309,40 @@ impl Core {
     /// Removes and yields the `n` oldest I-cache memory requests in one
     /// batched transfer — the caller has already secured `n` downstream
     /// slots, so no per-request handshake is needed.
+    #[inline]
     pub fn drain_icache_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
         self.icache.drain_mem_reqs(n)
     }
 
     /// Removes and yields the `n` oldest D-cache memory requests in one
     /// batched transfer.
+    #[inline]
     pub fn drain_dcache_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
         self.dcache.drain_mem_reqs(n)
     }
 
-    /// Drains this core's pending global-barrier arrivals.
-    pub fn take_global_barrier_arrivals(&mut self) -> Vec<GlobalBarrierArrival> {
-        std::mem::take(&mut self.global_barrier_out)
+    /// This core's pending global-barrier arrivals, for the GPU level to
+    /// drain in place (the buffer keeps its capacity).
+    #[inline]
+    pub fn global_barrier_arrivals(&mut self) -> &mut Vec<GlobalBarrierArrival> {
+        &mut self.global_barrier_out
     }
 
     /// Read access to a wavefront (tests, debugging).
     pub fn wavefront(&self, wid: usize) -> &Wavefront {
         &self.wavefronts[wid]
+    }
+
+    /// Read access to the front end (tests, debugging).
+    pub fn front_end(&self) -> &FrontEnd {
+        &self.front
+    }
+
+    /// Debug builds: asserts the front-end masks equal their definitions
+    /// (see [`FrontEnd::check_masks`]). Every live tick and every restore
+    /// ends with this check.
+    pub fn check_front_end_masks(&self) {
+        self.front.check_masks();
     }
 
     /// Read access to the register file (tests, runtime result readout).
@@ -1587,19 +1390,7 @@ impl Core {
         self.smem.save_state(w);
         self.tex_unit.save_state(w);
         self.lsu.save_state(w);
-        for fp in &self.fetch_pending {
-            fp.save(w);
-        }
-        for buf in &self.ibuffer {
-            w.usize(buf.len());
-            for &(ref instr, pc, _need) in buf {
-                w.u32(vortex_isa::encode(instr));
-                w.u32(pc);
-            }
-        }
-        for &b in &self.cf_block {
-            w.bool(b);
-        }
+        self.front.save_state(w);
         self.fast_fetch.save(w);
         w.usize(self.issue_rr);
         self.completions.save(w);
@@ -1664,27 +1455,7 @@ impl Core {
         self.smem.restore_state(r)?;
         self.tex_unit.restore_state(r)?;
         self.lsu.restore_state(r)?;
-        for fp in &mut self.fetch_pending {
-            *fp = Option::<u32>::load(r)?;
-        }
-        for buf in &mut self.ibuffer {
-            let n = r.len(8)?;
-            if n > Self::IBUFFER_DEPTH {
-                return Err(SnapError::BadValue("ibuffer depth"));
-            }
-            buf.clear();
-            for _ in 0..n {
-                let word = r.u32()?;
-                let pc = r.u32()?;
-                let instr = vortex_isa::decode(word)
-                    .map_err(|_| SnapError::BadValue("ibuffer instruction"))?;
-                let need = Self::hazard_mask(&instr);
-                buf.push_back((instr, pc, need));
-            }
-        }
-        for b in &mut self.cf_block {
-            *b = r.bool()?;
-        }
+        self.front.restore_state(r)?;
         self.fast_fetch = Snap::load(r)?;
         if self.fast_fetch.iter().any(|&(_, wid, _)| wid >= nw) {
             return Err(SnapError::BadValue("fast-fetch wavefront"));

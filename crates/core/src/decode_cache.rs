@@ -2,8 +2,9 @@
 //!
 //! Decode is a pure function of the 32-bit instruction word, and kernels
 //! re-fetch the same handful of words millions of times (every loop body,
-//! every wavefront). A small direct-mapped cache from word to decoded
-//! [`Instr`] lets the steady-state front end skip the decoder entirely.
+//! every wavefront). A small direct-mapped cache from word to resolved
+//! [`Slot`] (the decoded instruction plus its issue-time answers) lets the
+//! steady-state front end skip the decoder and the resolver entirely.
 //!
 //! **Invalidation** falls out of the keying: because the key is the word
 //! *fetched from RAM this cycle* — not the PC — self-modifying code changes
@@ -15,17 +16,22 @@
 //! cache on or off (asserted by the decode-equivalence tests), which is why
 //! it can default on.
 
-use vortex_isa::{decode, DecodeError, Instr};
+use crate::frontend::Slot;
+use vortex_isa::DecodeError;
 
-/// Direct-mapped slots. 4096 words × ~24 B comfortably covers any kernel
-/// text in the suite while staying L1-resident on the host.
-const SLOTS: usize = 4096;
+/// Direct-mapped slots. Kernel text in the suite is a few hundred words;
+/// 2048 entries of 24 B are 48 KiB per core — with sixteen cores the memo
+/// is a visible share of the simulator's resident set, so it is sized to
+/// the text, not beyond it.
+const SLOTS: usize = 2048;
 
-/// A direct-mapped word → [`Instr`] memo table.
+/// A direct-mapped word → [`Slot`] memo table.
 #[derive(Debug)]
 pub struct DecodeCache {
-    /// `(word, decoded)` per slot; `None` until first filled.
-    slots: Box<[Option<(u32, Instr)>]>,
+    /// One resolved slot per entry, keyed by the instruction word kept in
+    /// its (otherwise meaningless here) `pc` field — a separate key would
+    /// pad every entry from 24 to 32 bytes. `None` until first filled.
+    slots: Box<[Option<Slot>]>,
     hits: u64,
     misses: u64,
 }
@@ -53,25 +59,26 @@ impl DecodeCache {
         ((word >> 2) ^ (word >> 15) ^ (word >> 24)) as usize & (SLOTS - 1)
     }
 
-    /// Decodes `word`, serving from the memo table when possible. Only
+    /// Decodes and resolves `word`, serving from the memo table when
+    /// possible; the caller stamps the fetch PC with [`Slot::at`]. Only
     /// successful decodes are cached; illegal words always re-decode (they
     /// terminate the simulation anyway).
     ///
     /// # Errors
     /// Exactly the errors of [`vortex_isa::decode`].
     #[inline]
-    pub fn decode(&mut self, word: u32) -> Result<Instr, DecodeError> {
-        let slot = Self::index(word);
-        if let Some((w, instr)) = self.slots[slot] {
-            if w == word {
+    pub fn decode(&mut self, word: u32) -> Result<Slot, DecodeError> {
+        let index = Self::index(word);
+        if let Some(slot) = self.slots[index] {
+            if slot.pc == word {
                 self.hits += 1;
-                return Ok(instr);
+                return Ok(slot);
             }
         }
-        let instr = decode(word)?;
-        self.slots[slot] = Some((word, instr));
+        let slot = Slot::decode(word)?.at(word);
+        self.slots[index] = Some(slot);
         self.misses += 1;
-        Ok(instr)
+        Ok(slot)
     }
 
     /// `(hits, misses)` — host-side diagnostics only; deliberately *not*
@@ -85,6 +92,7 @@ impl DecodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_isa::decode;
 
     /// `addi x1, x0, 42` — a known-good word.
     const ADDI: u32 = 0x02A0_0093;
@@ -102,8 +110,8 @@ mod tests {
                 let memo2 = cache.decode(word); // second hit, same answer
                 match (direct, memo1, memo2) {
                     (Ok(d), Ok(a), Ok(b)) => {
-                        assert_eq!(d, a, "word {word:#010x}");
-                        assert_eq!(d, b, "word {word:#010x}");
+                        assert_eq!(d, a.instr, "word {word:#010x}");
+                        assert_eq!(d, b.instr, "word {word:#010x}");
                     }
                     (Err(_), Err(_), Err(_)) => {}
                     other => panic!("cache changed decode outcome for {word:#010x}: {other:?}"),

@@ -89,11 +89,6 @@ const FF_PROBE_BACKOFF: u64 = 3;
 /// Moves one core's L1 miss traffic into its cluster shard, I-cache
 /// stream first. Shard admission is a pure capacity handshake (no fault
 /// gate), so both streams transfer as batches against secured space.
-///
-/// Kept out of line: inlined into [`Gpu::step`] through its one call
-/// chain it costs `bfs-mc16-l2l3` about 3% of `sim_wall_s_p50` (vxmeter,
-/// alternating runs), and nothing on the flat workloads.
-#[inline(never)]
 fn drain_core_into_shard(shard: &mut ClusterShard, core: &mut Core, port: usize) {
     let n = core.icache_mem_req_count().min(shard.req_space());
     for req in core.drain_icache_mem_reqs(n) {
@@ -358,7 +353,11 @@ impl Gpu {
         let releases = &mut self.release_scratch;
         releases.clear();
         for (cid, core) in self.cores.iter_mut().enumerate() {
-            for arrival in core.take_global_barrier_arrivals() {
+            let arrivals = core.global_barrier_arrivals();
+            if arrivals.is_empty() {
+                continue;
+            }
+            for arrival in arrivals.drain(..) {
                 let slot = (arrival.id as usize) % self.global_barriers.len();
                 match self
                     .global_barriers
@@ -370,7 +369,9 @@ impl Gpu {
             }
         }
         for &gid in releases.iter() {
-            self.cores[gid / nw].release_wavefront(gid % nw);
+            // Per release, not per cycle: this division is off the hot path.
+            let cid = gid / nw;
+            self.cores[cid].release_wavefront(gid - cid * nw);
         }
     }
 

@@ -29,6 +29,7 @@ pub mod core;
 pub mod decode_cache;
 pub mod error;
 pub mod exec;
+pub mod frontend;
 pub mod gpu;
 pub mod ipdom;
 pub mod lsu;

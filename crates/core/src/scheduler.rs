@@ -24,6 +24,32 @@ pub enum SchedPolicy {
     RoundRobin,
 }
 
+/// One bit per wavefront id below `num_wavefronts` (at most 64 — the
+/// shift alone would overflow there).
+pub fn wavefront_mask(num_wavefronts: usize) -> u64 {
+    if num_wavefronts >= 64 {
+        u64::MAX
+    } else {
+        (1 << num_wavefronts) - 1
+    }
+}
+
+/// The set bits of `mask` in round-robin order from bit `start` (< 64):
+/// ascending from `start`, then wrapping to the bits below it.
+#[inline]
+pub fn rr_order(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    // Rotated so bit `start` is bit 0, ascending order *is* the
+    // round-robin order.
+    let mut rotated = mask.rotate_right(start as u32);
+    std::iter::from_fn(move || {
+        (rotated != 0).then(|| {
+            let offset = rotated.trailing_zeros() as usize;
+            rotated &= rotated - 1;
+            (start + offset) & 63
+        })
+    })
+}
+
 /// The four scheduler masks over wavefront ids.
 #[derive(Debug, Clone)]
 pub struct WavefrontScheduler {
@@ -76,27 +102,25 @@ impl WavefrontScheduler {
         if self.policy == SchedPolicy::RoundRobin || self.visible & ready_mask == 0 {
             self.visible = ready_mask;
         }
-        let candidates = self.visible & ready_mask;
-        if candidates == 0 {
+        // Candidate bits above num_wavefronts (a malformed ready mask)
+        // cannot be scheduled; such a cycle counts as starved rather than
+        // crashing the simulation.
+        let candidates = self.visible & ready_mask & wavefront_mask(self.num_wavefronts);
+        // Round-robin from rr_next: the first candidate at or above it,
+        // else the lowest one.
+        let Some(wid) = rr_order(candidates, self.rr_next).next() else {
             self.starved_cycles += 1;
             return None;
-        }
-        // Round-robin scan from rr_next.
-        for i in 0..self.num_wavefronts {
-            let wid = (self.rr_next + i) % self.num_wavefronts;
-            if candidates & (1 << wid) != 0 {
-                // "selects one wavefront ... and invalidates that wavefront".
-                self.visible &= !(1 << wid);
-                self.rr_next = (wid + 1) % self.num_wavefronts;
-                self.picks += 1;
-                return Some(wid);
-            }
-        }
-        // Candidate bits above num_wavefronts (a malformed ready mask)
-        // cannot be scheduled; treat the cycle as starved rather than
-        // crashing the simulation.
-        self.starved_cycles += 1;
-        None
+        };
+        // "selects one wavefront ... and invalidates that wavefront".
+        self.visible &= !(1 << wid);
+        self.rr_next = if wid + 1 == self.num_wavefronts {
+            0
+        } else {
+            wid + 1
+        };
+        self.picks += 1;
+        Some(wid)
     }
 }
 

@@ -23,6 +23,19 @@ impl StallStats {
     pub fn total(&self) -> u64 {
         self.ibuffer_empty + self.scoreboard + self.fu_busy
     }
+
+    /// Charges `cycles` no-issue cycles to their one bucket: a scoreboard
+    /// block outranks a busy unit, which outranks an empty buffer.
+    #[inline]
+    pub fn charge(&mut self, scoreboard: bool, fu_busy: bool, cycles: u64) {
+        if scoreboard {
+            self.scoreboard += cycles;
+        } else if fu_busy {
+            self.fu_busy += cycles;
+        } else {
+            self.ibuffer_empty += cycles;
+        }
+    }
 }
 
 /// One core's counters.

@@ -239,3 +239,63 @@ fn resaved_snapshot_bytes_are_identical() {
         gpu = fresh;
     }
 }
+
+/// `(full buffer, redirect block, outstanding fetch)` somewhere in the
+/// machine, read through the public front-end view: a redirect block is a
+/// fetch-blocked wavefront that is neither full nor waiting on a fetch.
+fn front_end_busy(gpu: &Gpu) -> (bool, bool, bool) {
+    let (mut full, mut cf_block, mut pending) = (false, false, false);
+    for cid in 0..NUM_CORES {
+        let front = gpu.core(cid).front_end();
+        for wid in 0..gpu.config().core.num_wavefronts {
+            let is_full = front.len(wid) == vortex_core::frontend::FrontEnd::IBUFFER_DEPTH;
+            let is_pending = front.fetch_pending(wid).is_some();
+            full |= is_full;
+            pending |= is_pending;
+            cf_block |= front.fetch_blocked() & (1 << wid) != 0 && !is_full && !is_pending;
+        }
+    }
+    (full, cf_block, pending)
+}
+
+#[test]
+fn snapshot_with_busy_front_end_resumes_bit_identically() {
+    // The front-end masks are derived state rebuilt at the end of a
+    // restore. Pause exactly where every mirrored predicate is live at
+    // once — full instruction buffers, a redirect block, an outstanding
+    // fetch — so a mask rebuilt too early (or not at all) changes what
+    // the resumed machine fetches and issues.
+    let baseline = run_uninterrupted(None, 0);
+    let mut gpu = boot(make_config(0), None);
+    let mut pauses = 0;
+    for cycle in 1..=baseline.stats.cycles {
+        match gpu.run(cycle) {
+            Err(SimError::Timeout { .. }) => {}
+            Ok(stats) => {
+                assert!(pauses >= 10, "busy front-end states are common ({pauses})");
+                assert_same("busy-front-end resume", &baseline, &outcome_of(&gpu, stats));
+                return;
+            }
+            Err(e) => panic!("unexpected outcome: {e}"),
+        }
+        if front_end_busy(&gpu) != (true, true, true) || cycle % 7 != 0 {
+            continue;
+        }
+        pauses += 1;
+        let bytes = gpu.save_snapshot();
+        let mut fresh = Gpu::new(make_config(0));
+        fresh
+            .restore_snapshot(&bytes)
+            .expect("own snapshot restores");
+        assert_eq!(front_end_busy(&fresh), (true, true, true));
+        for cid in 0..NUM_CORES {
+            fresh.core(cid).check_front_end_masks();
+            let (a, b) = (gpu.core(cid).front_end(), fresh.core(cid).front_end());
+            assert_eq!(a.nonempty(), b.nonempty(), "core {cid} at {cycle}");
+            assert_eq!(a.fetch_blocked(), b.fetch_blocked(), "core {cid} at {cycle}");
+        }
+        assert_eq!(bytes, fresh.save_snapshot(), "re-saved bytes at {cycle}");
+        gpu = fresh;
+    }
+    panic!("kernel must finish within the baseline's cycle count");
+}

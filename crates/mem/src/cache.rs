@@ -114,6 +114,17 @@ impl CacheConfig {
         assert!(self.ports >= 1, "need at least one port");
         assert!(self.num_ways >= 1, "need at least one way");
         assert!(self.sets_per_bank() >= 1, "cache too small for geometry");
+        // Otherwise the modelled capacity silently rounds down, and the
+        // set index could not be a plain mask.
+        let lines = (self.size_bytes / self.line_bytes) as usize;
+        assert!(
+            lines.is_multiple_of(self.num_banks * self.num_ways),
+            "line count not divisible by banks x ways"
+        );
+        assert!(
+            self.sets_per_bank().is_power_of_two(),
+            "set count not a power of two"
+        );
     }
 }
 
@@ -284,12 +295,19 @@ struct Bank {
     fills: VecDeque<u32>,
     /// MSHR entries released by a fill, replayed one per cycle.
     replays: VecDeque<BankReq>,
-    /// Tag store: `tags[set][way] = Some(line)` when valid.
-    tags: Vec<Vec<Option<u32>>>,
+    /// Tag store, set-major: `tags[set * ways + way] = Some(line)` when
+    /// valid.
+    tags: Vec<Option<u32>>,
+    ways: usize,
+    /// `log2(num_banks)`: a line's bank-local index is `line >> bank_shift`.
+    bank_shift: u32,
+    /// `sets - 1` (the set count is a power of two).
+    set_mask: usize,
     /// Round-robin victim pointer per set.
     victim: Vec<usize>,
-    /// Bank claimed by the selector this cycle (reset by `begin_cycle`).
-    claimed: Option<usize>, // index into `input` backing? holds subs count
+    /// Virtual ports of this bank's newest queued request the selector has
+    /// filled this cycle (`None`: bank unclaimed; reset by `begin_cycle`).
+    claimed: Option<usize>,
 }
 
 impl Bank {
@@ -301,45 +319,51 @@ impl Bank {
             mshr: Mshr::new(config.mshr_size),
             fills: VecDeque::new(),
             replays: VecDeque::new(),
-            tags: vec![vec![None; config.num_ways]; sets],
+            tags: vec![None; sets * config.num_ways],
+            ways: config.num_ways,
+            bank_shift: config.num_banks.trailing_zeros(),
+            set_mask: sets - 1,
             victim: vec![0; sets],
             claimed: None,
         }
     }
 
-    fn set_index(&self, line: u32, num_banks: usize) -> usize {
-        ((line as usize) / num_banks) % self.tags.len()
+    #[inline]
+    fn set_index(&self, line: u32) -> usize {
+        (line >> self.bank_shift) as usize & self.set_mask
     }
 
-    fn lookup(&self, line: u32, num_banks: usize) -> bool {
-        let set = self.set_index(line, num_banks);
-        self.tags[set].contains(&Some(line))
+    /// The ways of `set`.
+    #[inline]
+    fn set(&self, set: usize) -> &[Option<u32>] {
+        &self.tags[set * self.ways..][..self.ways]
     }
 
-    fn fill_line(&mut self, line: u32, num_banks: usize) {
-        let set = self.set_index(line, num_banks);
-        if self.tags[set].contains(&Some(line)) {
+    #[inline]
+    fn lookup(&self, line: u32) -> bool {
+        self.set(self.set_index(line)).contains(&Some(line))
+    }
+
+    fn fill_line(&mut self, line: u32) {
+        let set = self.set_index(line);
+        if self.set(set).contains(&Some(line)) {
             return;
         }
         // Prefer an invalid way, else round-robin eviction (write-through
         // means no writeback on eviction).
-        let way = match self.tags[set].iter().position(Option::is_none) {
+        let way = match self.set(set).iter().position(Option::is_none) {
             Some(w) => w,
             None => {
                 let w = self.victim[set];
-                self.victim[set] = (w + 1) % self.tags[set].len();
+                self.victim[set] = if w + 1 == self.ways { 0 } else { w + 1 };
                 w
             }
         };
-        self.tags[set][way] = Some(line);
+        self.tags[set * self.ways + way] = Some(line);
     }
 
     fn invalidate_all(&mut self) {
-        for set in &mut self.tags {
-            for way in set.iter_mut() {
-                *way = None;
-            }
-        }
+        self.tags.fill(None);
     }
 
     fn in_flight(&self) -> bool {
@@ -354,6 +378,7 @@ impl Bank {
     /// [`Bank::in_flight`], MSHR-only occupancy does not count: entries
     /// parked on an in-flight fill are untouched until the fill lands in
     /// `fills`, so the whole tick body is a no-op until then.
+    #[inline]
     fn tick_work(&self) -> bool {
         !self.input.is_empty()
             || self.stage.iter().any(Option::is_some)
@@ -371,10 +396,8 @@ impl Bank {
         self.replays.save(w);
         // Tag array and victim pointers are written in place (geometry is
         // construction state, so no lengths are serialized).
-        for set in &self.tags {
-            for way in set {
-                way.save(w);
-            }
+        for way in &self.tags {
+            way.save(w);
         }
         for v in &self.victim {
             w.usize(*v);
@@ -390,15 +413,12 @@ impl Bank {
         self.mshr.restore_state(r)?;
         self.fills = VecDeque::load(r)?;
         self.replays = VecDeque::load(r)?;
-        let ways = self.tags.first().map_or(0, Vec::len);
-        for set in &mut self.tags {
-            for way in set.iter_mut() {
-                *way = Option::load(r)?;
-            }
+        for way in &mut self.tags {
+            *way = Option::load(r)?;
         }
         for v in &mut self.victim {
             let p = r.usize()?;
-            if ways > 0 && p >= ways {
+            if p >= self.ways {
                 return Err(SnapError::BadValue("victim pointer"));
             }
             *v = p;
@@ -427,6 +447,10 @@ impl Snap for PipeEntry {
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: a byte address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// `num_banks - 1`: a line's bank is `line & bank_mask`.
+    bank_mask: usize,
     banks: Vec<Bank>,
     /// Outgoing memory requests (line fills and write-throughs).
     memq: Queue<MemReq>,
@@ -504,6 +528,8 @@ impl Cache {
         let banks = (0..config.num_banks).map(|_| Bank::new(&config)).collect();
         Self {
             config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            bank_mask: config.num_banks - 1,
             banks,
             memq: Queue::new(config.memq_size),
             memq_reserved: 0,
@@ -568,8 +594,9 @@ impl Cache {
         occ
     }
 
+    #[inline]
     fn bank_of(&self, line: u32) -> usize {
-        (line as usize) % self.config.num_banks
+        line as usize & self.bank_mask
     }
 
     /// Non-mutating presence probe: `true` when the line holding `addr` is
@@ -579,8 +606,8 @@ impl Cache {
     /// an absent line may still coalesce onto an in-flight MSHR entry —
     /// it answers only "was the data already here".
     pub fn probe(&self, addr: u32) -> bool {
-        let line = addr / self.config.line_bytes;
-        self.banks[self.bank_of(line)].lookup(line, self.config.num_banks)
+        let line = addr >> self.line_shift;
+        self.banks[self.bank_of(line)].lookup(line)
     }
 
     /// `true` when a tick (plus the unconditional per-cycle
@@ -592,6 +619,7 @@ impl Cache {
     /// input/pipeline/fill/replay structures. Banks whose only contents
     /// are MSHR entries parked on in-flight fills qualify — their tick
     /// body is a no-op until the fill arrives from the next level.
+    #[inline]
     pub fn ff_idle(&self) -> bool {
         self.fault.is_none()
             && self.flush_busy == 0
@@ -607,6 +635,7 @@ impl Cache {
 
     /// Starts a new cycle: clears the per-cycle bank-claim state used by the
     /// selector. Call once per cycle before [`Cache::offer`] / [`Cache::tick`].
+    #[inline]
     pub fn begin_cycle(&mut self) {
         if self.claims_dirty {
             for bank in &mut self.banks {
@@ -622,6 +651,7 @@ impl Cache {
     /// request for the *same cache line* while coalesced ports remain.
     ///
     /// Returns the number of requests accepted.
+    #[inline]
     pub fn offer(&mut self, reqs: &mut Vec<MemReq>) -> usize {
         if reqs.is_empty() && self.fault.is_none() {
             // Nothing offered and no fault plan to draw from (a plan's
@@ -645,7 +675,7 @@ impl Cache {
         let mut i = 0;
         while i < reqs.len() {
             let req = reqs[i];
-            let line = req.line_addr(self.config.line_bytes);
+            let line = req.addr >> self.line_shift;
             let bank_idx = self.bank_of(line);
             self.stats.offered += 1;
             let ports = self.config.ports;
@@ -717,12 +747,12 @@ impl Cache {
     }
 
     /// Advances all bank pipelines one cycle.
+    #[inline]
     pub fn tick(&mut self) {
         if self.flush_busy > 0 {
             self.flush_busy -= 1;
         }
-        let num_banks = self.config.num_banks;
-        let line_bytes = self.config.line_bytes;
+        let line_shift = self.line_shift;
         for bank in &mut self.banks {
             // Workless banks have nothing to shuffle: every stage move and
             // the scheduler below are no-ops, so skipping them changes no
@@ -770,13 +800,13 @@ impl Cache {
                         self.memq
                             .push(MemReq {
                                 tag: entry.req.line as Tag,
-                                addr: entry.req.line * line_bytes,
+                                addr: entry.req.line << line_shift,
                                 write: true,
                             })
                             .expect("memq space reserved at schedule");
-                        entry.hit = bank.lookup(entry.req.line, num_banks);
+                        entry.hit = bank.lookup(entry.req.line);
                         bank.stage[1] = Some(entry);
-                    } else if bank.lookup(entry.req.line, num_banks) {
+                    } else if bank.lookup(entry.req.line) {
                         self.stats.read_hits += entry.req.subs.len() as u64;
                         entry.hit = true;
                         bank.stage[1] = Some(entry);
@@ -790,7 +820,7 @@ impl Cache {
                             self.memq
                                 .push(MemReq {
                                     tag: line as Tag,
-                                    addr: line * line_bytes,
+                                    addr: line << line_shift,
                                     write: false,
                                 })
                                 .expect("memq space reserved at schedule");
@@ -804,7 +834,7 @@ impl Cache {
             // MSHR path priority over new core requests).
             if bank.stage[0].is_none() {
                 if let Some(line) = bank.fills.pop_front() {
-                    bank.fill_line(line, num_banks);
+                    bank.fill_line(line);
                     let released = bank.mshr.release(line);
                     bank.replays.extend(released);
                 } else if let Some(req) = bank.replays.pop_front() {
@@ -847,13 +877,14 @@ impl Cache {
     /// a read hit) when `addr`'s line is resident; on `false` the caller
     /// sends the fetch through the normal miss pipeline, which does its
     /// own accounting.
+    #[inline]
     pub fn lookup_for_fetch(&mut self, addr: u32) -> bool {
         if self.flush_busy > 0 {
             return false;
         }
-        let line = addr / self.config.line_bytes;
+        let line = addr >> self.line_shift;
         let bank = self.bank_of(line);
-        if self.banks[bank].lookup(line, self.config.num_banks) {
+        if self.banks[bank].lookup(line) {
             self.stats.reads += 1;
             self.stats.read_hits += 1;
             true
@@ -864,6 +895,7 @@ impl Cache {
 
     /// Pops one coalesced core response. An attached fault plan may hold a
     /// ready response back (`cache_rsp_stall`); it stays queued for a retry.
+    #[inline]
     pub fn pop_rsp(&mut self) -> Option<MemRsp> {
         if let Some(plan) = &mut self.fault {
             if !self.responses.is_empty() && plan.stall_cache_rsp() {
@@ -884,6 +916,7 @@ impl Cache {
     }
 
     /// Outgoing memory requests currently queued.
+    #[inline]
     pub fn mem_req_count(&self) -> usize {
         self.memq.len()
     }
@@ -895,6 +928,7 @@ impl Cache {
     ///
     /// # Panics
     /// Panics if `n` exceeds [`Cache::mem_req_count`].
+    #[inline]
     pub fn drain_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
         self.memq.drain_front(n)
     }
@@ -903,6 +937,7 @@ impl Cache {
     /// fault plan may corrupt the fill tag, filling the wrong line and
     /// stranding the requests parked on the real one — the MSHR-starvation
     /// hang the watchdog exists to diagnose.
+    #[inline]
     pub fn push_mem_rsp(&mut self, rsp: MemRsp) {
         let mut line = rsp.tag as u32;
         if let Some(plan) = &mut self.fault {
@@ -997,6 +1032,59 @@ mod tests {
             input_queue: 2,
             memq_size: 8,
         })
+    }
+
+    fn with_geometry(size_bytes: u32, num_banks: usize, num_ways: usize) -> CacheConfig {
+        CacheConfig {
+            size_bytes,
+            num_banks,
+            num_ways,
+            ..CacheConfig::dcache_default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not divisible by banks x ways")]
+    fn line_count_must_divide_into_banks_and_ways() {
+        // 8 lines / 2 banks / 3 ways used to model 384 B silently.
+        let _ = Cache::new(with_geometry(512, 2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "set count not a power of two")]
+    fn set_count_must_be_a_power_of_two() {
+        let _ = Cache::new(with_geometry(768, 2, 2)); // 3 sets per bank
+    }
+
+    /// The resolved shifts and masks index exactly as the divisions they
+    /// replaced, on every geometry the repository builds.
+    #[test]
+    fn shift_and_mask_indexing_equals_division() {
+        let mut geometries = vec![
+            CacheConfig::icache_default(),
+            crate::hierarchy::l2_default(),
+            crate::hierarchy::l3_default(),
+            with_geometry(1024, 4, 1), // `small_cache`
+            with_geometry(512, 2, 1),  // tests/cache_edge.rs
+            with_geometry(512, 2, 2),
+            with_geometry(2048, 4, 1), // tests/cache_props.rs
+        ];
+        geometries.extend([2, 4, 8].map(|banks| with_geometry(16 * 1024, banks, 1)));
+        for config in geometries {
+            let c = Cache::new(config);
+            let sets = config.sets_per_bank();
+            assert_eq!(c.banks[0].tags.len(), sets * config.num_ways);
+            for addr in (0..1u32 << 20).step_by(52).chain([u32::MAX, u32::MAX - 63]) {
+                let line = addr / config.line_bytes;
+                assert_eq!(addr >> c.line_shift, line, "{config:?}");
+                assert_eq!(c.bank_of(line), line as usize % config.num_banks);
+                assert_eq!(
+                    c.banks[0].set_index(line),
+                    (line as usize / config.num_banks) % sets,
+                    "{config:?} line {line}"
+                );
+            }
+        }
     }
 
     /// Runs the cache with a perfect (instant) next level until idle,

@@ -104,6 +104,7 @@ impl Dram {
     /// Free input-queue slots. With no fault plan attached this many
     /// pushes are guaranteed to succeed back to back, so callers can
     /// batch-drain upstream queues without per-request handshakes.
+    #[inline]
     pub fn space(&self) -> usize {
         self.input.space()
     }
@@ -111,6 +112,7 @@ impl Dram {
     /// Advances one cycle: starts up to `channels` queued requests and
     /// retires the ones whose latency elapsed (reads produce responses;
     /// writes complete silently).
+    #[inline]
     pub fn tick(&mut self) {
         self.cycle += 1;
         if let Some(plan) = &mut self.fault {

@@ -116,15 +116,17 @@ impl<T> Queue<T> {
         self.items.iter()
     }
 
-    /// Removes and yields the `n` oldest elements in one slice-based
-    /// transfer — the batched form of `n` `pop` calls. The handshake is
-    /// the *push* side; draining is always ready, so no fault gate
-    /// applies here.
+    /// Removes and yields the `n` oldest elements — the batched form of
+    /// `n` `pop` calls. The handshake is the *push* side; draining is
+    /// always ready, so no fault gate applies here. Pops rather than
+    /// `VecDeque::drain`: most transfers on most cycles are zero-length,
+    /// and a `Drain` is built and dropped even for an empty range.
     ///
     /// # Panics
-    /// Panics if `n` exceeds the current occupancy.
+    /// The iterator panics if `n` exceeds the current occupancy.
+    #[inline]
     pub fn drain_front(&mut self, n: usize) -> impl Iterator<Item = T> + '_ {
-        self.items.drain(..n)
+        (0..n).map(move |_| self.items.pop_front().expect("drain within occupancy"))
     }
 
     /// Removes all elements.

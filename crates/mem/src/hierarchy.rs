@@ -516,6 +516,7 @@ impl MemHierarchy {
     /// or 0 when the topology has L2s (use the shards) or a DRAM fault
     /// plan gates every handshake individually (use
     /// [`MemHierarchy::push_req`] per request).
+    #[inline]
     pub fn flat_space(&self) -> usize {
         if !self.shards.is_empty() || self.dram.has_fault() {
             0
@@ -526,6 +527,7 @@ impl MemHierarchy {
 
     /// Admits one request straight to DRAM; the caller has checked
     /// [`MemHierarchy::flat_space`].
+    #[inline]
     pub fn admit_flat(&mut self, core: usize, req: MemReq) {
         let tag = if req.write {
             0

@@ -46,6 +46,7 @@ impl Mshr {
     }
 
     /// Free request slots remaining.
+    #[inline]
     pub fn space(&self) -> usize {
         self.capacity - self.pending
     }
@@ -62,6 +63,7 @@ impl Mshr {
     ///
     /// # Panics
     /// Panics if the MSHR is full — callers must check [`Mshr::has_space`].
+    #[inline]
     pub fn allocate(&mut self, line: u32, req: BankReq) -> bool {
         assert!(self.has_space(), "MSHR overflow: early-full check violated");
         self.pending += 1;
@@ -76,6 +78,7 @@ impl Mshr {
 
     /// Releases every request waiting on `line` (called when its fill
     /// arrives). Returns the requests in allocation order.
+    #[inline]
     pub fn release(&mut self, line: u32) -> Vec<BankReq> {
         if let Some(pos) = self.entries.iter().position(|(l, _)| *l == line) {
             let (_, reqs) = self.entries.remove(pos).expect("position just found");

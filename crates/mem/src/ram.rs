@@ -52,6 +52,7 @@ impl Ram {
         }
     }
 
+    #[inline]
     fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
         self.pages[(addr >> PAGE_SHIFT) as usize].as_deref()
     }
@@ -62,6 +63,7 @@ impl Ram {
     }
 
     /// Reads one byte (unmapped memory reads as zero).
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
         match self.page(addr) {
             Some(p) => p[(addr as usize) & PAGE_MASK],
@@ -70,12 +72,14 @@ impl Ram {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
         let off = (addr as usize) & PAGE_MASK;
         self.page_mut(addr)[off] = value;
     }
 
     /// Reads a little-endian u16 (no alignment requirement).
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> u16 {
         let off = (addr as usize) & PAGE_MASK;
         if off <= PAGE_SIZE - 2 {
@@ -90,6 +94,7 @@ impl Ram {
     }
 
     /// Writes a little-endian u16.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16) {
         let off = (addr as usize) & PAGE_MASK;
         let bytes = value.to_le_bytes();
@@ -102,6 +107,7 @@ impl Ram {
     }
 
     /// Reads a little-endian u32 (no alignment requirement).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
         let off = (addr as usize) & PAGE_MASK;
         if off <= PAGE_SIZE - 4 {
@@ -121,6 +127,7 @@ impl Ram {
     }
 
     /// Writes a little-endian u32.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) {
         let off = (addr as usize) & PAGE_MASK;
         let bytes = value.to_le_bytes();
@@ -134,11 +141,13 @@ impl Ram {
     }
 
     /// Reads an IEEE-754 single.
+    #[inline]
     pub fn read_f32(&self, addr: u32) -> f32 {
         f32::from_bits(self.read_u32(addr))
     }
 
     /// Writes an IEEE-754 single.
+    #[inline]
     pub fn write_f32(&mut self, addr: u32, value: f32) {
         self.write_u32(addr, value.to_bits());
     }

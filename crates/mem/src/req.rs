@@ -38,11 +38,6 @@ impl MemReq {
             write: true,
         }
     }
-
-    /// The cache-line address for `line_bytes`-sized lines.
-    pub fn line_addr(&self, line_bytes: u32) -> u32 {
-        self.addr / line_bytes
-    }
 }
 
 /// A timing-model memory response.
@@ -73,19 +68,5 @@ impl vortex_snapshot::Snap for MemRsp {
     }
     fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
         Ok(Self { tag: r.u64()? })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn line_addr_strips_offset_bits() {
-        let r = MemReq::read(1, 0x1234);
-        assert_eq!(r.line_addr(64), 0x1234 / 64);
-        assert_eq!(r.line_addr(16), 0x1234 / 16);
-        assert!(!r.write);
-        assert!(MemReq::write(1, 0).write);
     }
 }

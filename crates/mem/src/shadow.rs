@@ -42,6 +42,7 @@ impl WriteLog {
     }
 
     /// `true` when no stores are pending (the read fast path).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -52,6 +53,7 @@ impl WriteLog {
     }
 
     /// Buffers a byte store.
+    #[inline]
     pub fn push_u8(&mut self, addr: u32, value: u8) {
         self.entries.push(PendingStore {
             addr,
@@ -61,6 +63,7 @@ impl WriteLog {
     }
 
     /// Buffers a halfword store.
+    #[inline]
     pub fn push_u16(&mut self, addr: u32, value: u16) {
         self.entries.push(PendingStore {
             addr,
@@ -70,6 +73,7 @@ impl WriteLog {
     }
 
     /// Buffers a word store.
+    #[inline]
     pub fn push_u32(&mut self, addr: u32, value: u32) {
         self.entries.push(PendingStore {
             addr,
@@ -96,6 +100,7 @@ impl WriteLog {
     }
 
     /// Reads a byte through the log.
+    #[inline]
     pub fn read_u8(&self, base: &Ram, addr: u32) -> u8 {
         if self.entries.is_empty() {
             return base.read_u8(addr);
@@ -106,6 +111,7 @@ impl WriteLog {
     }
 
     /// Reads a little-endian u16 through the log.
+    #[inline]
     pub fn read_u16(&self, base: &Ram, addr: u32) -> u16 {
         if self.entries.is_empty() {
             return base.read_u16(addr);
@@ -116,6 +122,7 @@ impl WriteLog {
     }
 
     /// Reads a little-endian u32 through the log.
+    #[inline]
     pub fn read_u32(&self, base: &Ram, addr: u32) -> u32 {
         if self.entries.is_empty() {
             return base.read_u32(addr);
@@ -199,41 +206,49 @@ impl<'a> RamView<'a> {
     }
 
     /// Reads one byte (own pending stores visible).
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
         self.log.read_u8(self.base, addr)
     }
 
     /// Reads a little-endian u16 (own pending stores visible).
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> u16 {
         self.log.read_u16(self.base, addr)
     }
 
     /// Reads a little-endian u32 (own pending stores visible).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
         self.log.read_u32(self.base, addr)
     }
 
     /// Reads an IEEE-754 single (own pending stores visible).
+    #[inline]
     pub fn read_f32(&self, addr: u32) -> f32 {
         f32::from_bits(self.read_u32(addr))
     }
 
     /// Buffers a byte store.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
         self.log.push_u8(addr, value);
     }
 
     /// Buffers a halfword store.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16) {
         self.log.push_u16(addr, value);
     }
 
     /// Buffers a word store.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) {
         self.log.push_u32(addr, value);
     }
 
     /// Buffers an IEEE-754 single store.
+    #[inline]
     pub fn write_f32(&mut self, addr: u32, value: f32) {
         self.log.push_u32(addr, value.to_bits());
     }

@@ -69,6 +69,7 @@ impl SharedMem {
     /// Offers one wavefront's lane accesses for this cycle. Accepts at most
     /// one access per bank, removing accepted requests from `reqs`; the
     /// rest must be re-offered next cycle (conflict serialization).
+    #[inline]
     pub fn offer(&mut self, reqs: &mut Vec<MemReq>) -> usize {
         self.bank_used.fill(false);
         let mut accepted = 0;
@@ -95,11 +96,13 @@ impl SharedMem {
     }
 
     /// Advances one cycle.
+    #[inline]
     pub fn tick(&mut self) {
         self.cycle += 1;
     }
 
     /// Pops one completed read response.
+    #[inline]
     pub fn pop_rsp(&mut self) -> Option<MemRsp> {
         match self.in_flight.front() {
             Some(&(ready, rsp)) if ready <= self.cycle => {

@@ -240,6 +240,7 @@ impl TexUnit {
     }
 
     /// `true` if a new `tex` instruction can be accepted this cycle.
+    #[inline]
     pub fn can_accept(&self) -> bool {
         !self.input.is_full()
     }
@@ -317,6 +318,7 @@ impl TexUnit {
     }
 
     /// Drains one texel memory request for the data cache.
+    #[inline]
     pub fn pop_mem_req(&mut self) -> Option<MemReq> {
         self.mem_out.pop_front()
     }
@@ -332,6 +334,7 @@ impl TexUnit {
     }
 
     /// Advances the unit one cycle.
+    #[inline]
     pub fn tick(&mut self) {
         if let Some(plan) = &mut self.fault {
             if plan.stall_tex() {
@@ -388,6 +391,7 @@ impl TexUnit {
     }
 
     /// Pops one completed `tex` response.
+    #[inline]
     pub fn pop_rsp(&mut self) -> Option<TexResponse> {
         self.output.pop_front()
     }
