@@ -206,11 +206,9 @@ fn main() {
                 "hang" => tally.hang += 1,
                 _ => tally.trap += 1,
             }
-            if let Some(result) = recovery {
-                if let Some(rollbacks) = result {
-                    tally.recovered += 1;
-                    tally.retries += rollbacks;
-                }
+            if let Some(Some(rollbacks)) = recovery {
+                tally.recovered += 1;
+                tally.retries += rollbacks;
             }
         }
         let benign = base.is_benign();

@@ -161,6 +161,17 @@ fn positive<'a>(it: &mut impl Iterator<Item = &'a String>, what: &str) -> u64 {
     }
 }
 
+/// [`positive`] with an upper bound — the largest size the core model is
+/// built for, which its constructors otherwise enforce by panicking.
+fn at_most<'a>(it: &mut impl Iterator<Item = &'a String>, what: &str, max: u64) -> usize {
+    let n = positive(it, what);
+    if n > max {
+        eprintln!("vxsim: {what} must be in 1..={max}, got {n}");
+        usage()
+    }
+    n as usize
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut file = None;
@@ -187,8 +198,8 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--cores" => cores = positive(&mut it, "--cores") as usize,
-            "--warps" => warps = positive(&mut it, "--warps") as usize,
-            "--threads" => threads = positive(&mut it, "--threads") as usize,
+            "--warps" => warps = at_most(&mut it, "--warps", 64),
+            "--threads" => threads = at_most(&mut it, "--threads", 32),
             "--ports" => ports = positive(&mut it, "--ports") as usize,
             "--clusters" => clusters = Some(positive(&mut it, "--clusters") as usize),
             "--l2" => l2 = true,
@@ -350,11 +361,10 @@ fn main() {
     let mut recovery = RecoveryReport::default();
     let mut retries_left = resume_retry;
     let outcome = loop {
-        let target = if checkpoint_every > 0 {
-            ((gpu.cycle() / checkpoint_every + 1) * checkpoint_every).min(max_cycles)
-        } else {
-            max_cycles
-        };
+        let target = gpu
+            .cycle()
+            .checked_div(checkpoint_every)
+            .map_or(max_cycles, |n| ((n + 1) * checkpoint_every).min(max_cycles));
         match gpu.run(target) {
             Err(SimError::Timeout { cycles }) if cycles < max_cycles => {
                 // A checkpoint boundary, not a real timeout: persist and

@@ -145,8 +145,7 @@ pub fn run_rodinia_suite(config: &GpuConfig) -> Vec<BenchResult> {
 
 /// The named workloads `vxprof` can profile: the four snapshot-gate
 /// kernels plus the full graphics pipeline. `fast` selects the CI smoke
-/// sizes (matching `vxbench --quick`); otherwise the gate-pinned full
-/// sizes run.
+/// sizes; otherwise the gate-pinned full sizes run.
 pub fn registered_benches(fast: bool) -> Vec<(&'static str, Box<dyn Benchmark>)> {
     use vortex_gfx::RasterBench;
     use vortex_kernels::{Bfs, FilterKind, Nearn, Sgemm, TexBench};

@@ -3,8 +3,8 @@
 //! The gate half proves the PC-level profiler is observation-only on the
 //! real gate workloads: with `GpuConfig::profile = true` every gate must
 //! land on *exactly* the pinned cycle count the profiling-off runs are
-//! held to (`snapshot_smoke.rs` / `BENCH_PR4.json`), with `GpuStats` bit
-//! for bit unchanged. The CLI half drives the installed `vxprof` and
+//! held to (`snapshot_smoke.rs`), with `GpuStats` bit for bit
+//! unchanged. The CLI half drives the installed `vxprof` and
 //! `vxsim` binaries end to end: hotspot table shape, JSON schema,
 //! folded-stack output, and the structured rejection of bad numeric
 //! flags (`--sample 0` and friends).
@@ -133,6 +133,9 @@ fn vxsim_rejects_bad_numeric_flags() {
         (&["--max-cycles", "0"], positive),
         (&["--cores", "0"], positive),
         (&["--checkpoint-every", "-5"], positive),
+        // Sizes the core model refuses (it would panic, not report).
+        (&["--threads", "33"], "--threads must be in 1..=32"),
+        (&["--warps", "65"], "--warps must be in 1..=64"),
         // An L3 no request can reach, clusters that share nothing.
         (&["--l3"], "--l3 has no effect without --l2"),
         (&["--cores", "4", "--clusters", "2"], "--clusters has no effect without --l2"),

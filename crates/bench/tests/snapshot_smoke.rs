@@ -1,10 +1,10 @@
-//! CI snapshot smoke: the vxbench gate workloads run under the
+//! CI snapshot smoke: the four gate workloads run under the
 //! checkpoint *drill* (`GpuConfig::checkpoint_drill`), which kills and
 //! resurrects the simulator — serialize, rebuild from the configuration,
 //! restore — every few thousand cycles mid-kernel. The drilled runs must
-//! land on exactly the gate cycle counts recorded in `BENCH_PR4.json`
-//! and produce `GpuStats` bit-identical to an undrilled run; any drift
-//! means checkpoint/restore is not the identity on real workloads.
+//! land on exactly the gate cycle counts pinned below and produce
+//! `GpuStats` bit-identical to an undrilled run; any drift means
+//! checkpoint/restore is not the identity on real workloads.
 //!
 //! `--release` strongly recommended (the bfs gate simulates ~800k
 //! cycles, with a full save/rebuild/restore every 10k of them).
@@ -12,8 +12,9 @@
 use vortex_core::GpuConfig;
 use vortex_kernels::{Benchmark, Bfs, FilterKind, Nearn, Sgemm, TexBench};
 
-/// The full-tier gate workloads and their pinned cycle counts (the same
-/// numbers `BENCH_PR4.json` records and CHANGES.md tracks PR-to-PR).
+/// The full-tier gate workloads and their pinned cycle counts (the
+/// numbers CHANGES.md tracks PR-to-PR; `profile_gate.rs` holds the
+/// profiled runs to the same ones).
 fn gates() -> Vec<(Box<dyn Benchmark>, u64)> {
     vec![
         (Box::new(Sgemm::default()) as Box<dyn Benchmark>, 81_970),

@@ -48,7 +48,7 @@ use crate::warp::{StallReason, Wavefront};
 use std::collections::HashMap;
 use vortex_faults::{site, FaultConfig};
 use vortex_isa::Reg;
-use vortex_mem::{Cache, MemReq, MemRsp, Ram, RamView, SharedMem, Tag, WriteLog};
+use vortex_mem::{Cache, MemReq, MemRsp, Ram, SharedMem, Tag};
 use vortex_tex::{TexRequest, TexUnit};
 
 /// A pending arithmetic completion waiting for the writeback port.
@@ -186,13 +186,6 @@ pub struct Core {
     /// Texture-unit memory requests waiting for the D-cache.
     tex_mem_pending: Vec<MemReq>,
 
-    /// Stores buffered by this cycle's compute phase, applied to the
-    /// functional RAM by [`Core::commit_stores`] during the commit phase.
-    /// Reads from this core (execute-stage loads, instruction fetch) see
-    /// the pending entries, so a core's own same-cycle stores stay visible
-    /// to it exactly as under the old eager-store model.
-    store_log: WriteLog,
-
     cycle: u64,
     /// Sticky quiescence flag: set once every wavefront has halted and
     /// every queue, pipeline, and cache in the core is empty. From that
@@ -276,7 +269,6 @@ impl Core {
             tex_dest: HashMap::new(),
             next_tex_tag: 0,
             tex_mem_pending: Vec::new(),
-            store_log: WriteLog::new(),
             cycle: 0,
             drained: false,
             park: None,
@@ -317,7 +309,6 @@ impl Core {
         self.fence_waiters.clear();
         self.tex_dest.clear();
         self.tex_mem_pending.clear();
-        self.store_log.clear();
         self.drained = false;
         self.park = None;
         self.park_mark = u64::MAX;
@@ -339,7 +330,6 @@ impl Core {
             && self.dcache.is_idle()
             && self.smem.is_idle()
             && self.completions.is_empty()
-            && self.store_log.is_empty()
     }
 
     /// The per-core configuration.
@@ -450,7 +440,7 @@ impl Core {
     /// # Errors
     /// Propagates execution traps (divergence misuse, divergent branches)
     /// as [`SimError`]s carrying the trap site.
-    fn issue_stage(&mut self, ram: &Ram) -> Result<(), SimError> {
+    fn issue_stage(&mut self, ram: &mut Ram) -> Result<(), SimError> {
         let scan = self.issue_scan();
         let Some(wid) = scan.picked else {
             let (scoreboard, fu) = (scan.scoreboard_blocked.is_some(), scan.fu_blocked.is_some());
@@ -491,13 +481,10 @@ impl Core {
             // overwrites it on taken redirects).
             wf.pc = instr_pc.wrapping_add(4);
         }
-        // Execute against the RAM snapshot with stores deferred into this
-        // core's write log (read-your-write preserved by the view).
-        let mut mem = RamView::new(ram, &mut self.store_log);
         let result = exec::execute_with(
             wf,
             &self.regs,
-            &mut mem,
+            ram,
             &mut self.csrf,
             &env,
             &instr,
@@ -733,10 +720,7 @@ impl Core {
         if !self.wavefronts[wid].active {
             return Ok(()); // halted while the fetch was in flight
         }
-        // Fetch through the write log: a store buffered earlier this cycle
-        // (self-modifying code) must be visible to this core's own fetch,
-        // exactly as it was when stores applied eagerly.
-        let word = self.store_log.read_u32(ram, pc);
+        let word = ram.read_u32(pc);
         // Memoized decode. Keying by the *word just fetched* makes the memo
         // self-invalidating under self-modifying code: a code write changes
         // the lookup key, never the cached mapping.
@@ -761,17 +745,17 @@ impl Core {
         }
     }
 
-    /// Advances the core one cycle: the *compute phase* of the two-phase
-    /// protocol. `ram` is a read-snapshot of the functional memory; stores
-    /// executed this cycle land in the core's write log and become globally
-    /// visible only when the caller invokes [`Core::commit_stores`] (in
-    /// fixed core-id order, so what a core reads never depends on where
-    /// it sits in the tick order).
+    /// Advances the core one cycle against the one functional memory:
+    /// loads and instruction fetches read `ram`, stores write it, both at
+    /// issue time. A store is therefore visible to this core's own later
+    /// accesses at once, and to another core ticked later in the same
+    /// cycle — the caller ticks cores in ascending id order, which makes
+    /// that a modelled rule rather than an accident (DESIGN §10).
     ///
     /// # Errors
     /// Propagates structured traps ([`SimError`]) from the issue and
     /// decode stages; the caller aborts the simulation and reports them.
-    pub fn tick(&mut self, ram: &Ram) -> Result<(), SimError> {
+    pub fn tick(&mut self, ram: &mut Ram) -> Result<(), SimError> {
         if self.drained {
             // The full tick below is a no-op for a drained core except for
             // these two counters (issue finds every ibuffer empty; every
@@ -1021,7 +1005,6 @@ impl Core {
         // sites (cache offers, texture tick) — skipping would desync the
         // audited decision streams, so faulted cores never fast-forward.
         if self.has_faults
-            || !self.store_log.is_empty()
             || !self.global_barrier_out.is_empty()
             || !self.tex_mem_pending.is_empty()
             || self.lsu.has_ready()
@@ -1129,17 +1112,6 @@ impl Core {
         self.smem.advance(delta);
         self.tex_unit.bulk_advance(delta);
         self.cycle += delta;
-    }
-
-    /// Commit phase: applies this cycle's buffered stores to the functional
-    /// RAM in program order and clears the log. The GPU level calls this
-    /// for every core in ascending core-id order after all compute phases
-    /// finish, so global store-application order is a pure function of the
-    /// configuration.
-    pub fn commit_stores(&mut self, ram: &mut Ram) {
-        if !self.store_log.is_empty() {
-            self.store_log.apply(ram);
-        }
     }
 
     /// Decisions drawn across this core's fault plans (I-cache, D-cache,
@@ -1276,49 +1248,11 @@ impl Core {
         }
     }
 
-    /// Peeks the next I-cache memory request without removing it.
-    pub fn peek_icache_mem_req(&self) -> Option<&MemReq> {
-        self.icache.peek_mem_req()
-    }
-
-    /// Peeks the next D-cache memory request without removing it.
-    pub fn peek_dcache_mem_req(&self) -> Option<&MemReq> {
-        self.dcache.peek_mem_req()
-    }
-
-    /// Pops the next I-cache memory request.
-    pub fn pop_icache_mem_req(&mut self) -> Option<MemReq> {
-        self.icache.pop_mem_req()
-    }
-
-    /// Pops the next D-cache memory request.
-    pub fn pop_dcache_mem_req(&mut self) -> Option<MemReq> {
-        self.dcache.pop_mem_req()
-    }
-
-    /// Queued I-cache memory requests (for batched draining).
-    pub fn icache_mem_req_count(&self) -> usize {
-        self.icache.mem_req_count()
-    }
-
-    /// Queued D-cache memory requests (for batched draining).
-    pub fn dcache_mem_req_count(&self) -> usize {
-        self.dcache.mem_req_count()
-    }
-
-    /// Removes and yields the `n` oldest I-cache memory requests in one
-    /// batched transfer — the caller has already secured `n` downstream
-    /// slots, so no per-request handshake is needed.
+    /// The I-cache and D-cache, for the GPU level to drain their miss
+    /// queues into the hierarchy.
     #[inline]
-    pub fn drain_icache_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
-        self.icache.drain_mem_reqs(n)
-    }
-
-    /// Removes and yields the `n` oldest D-cache memory requests in one
-    /// batched transfer.
-    #[inline]
-    pub fn drain_dcache_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
-        self.dcache.drain_mem_reqs(n)
+    pub fn l1s_mut(&mut self) -> (&mut Cache, &mut Cache) {
+        (&mut self.icache, &mut self.dcache)
     }
 
     /// This core's pending global-barrier arrivals, for the GPU level to
@@ -1415,7 +1349,9 @@ impl Core {
         }
         w.u64(self.next_tex_tag);
         self.tex_mem_pending.save(w);
-        self.store_log.save_state(w);
+        // Reserved by the version-1 layout: a pending-store count, which
+        // must be zero.
+        w.usize(0);
         w.u64(self.cycle);
         w.bool(self.drained);
         w.bool(self.has_faults);
@@ -1492,7 +1428,9 @@ impl Core {
         }
         self.next_tex_tag = r.u64()?;
         self.tex_mem_pending = Snap::load(r)?;
-        self.store_log.restore_state(r)?;
+        if r.usize()? != 0 {
+            return Err(SnapError::BadValue("reserved pending-store count"));
+        }
         self.cycle = r.u64()?;
         self.drained = r.bool()?;
         self.has_faults = r.bool()?;

@@ -17,7 +17,7 @@ use vortex_isa::{
     BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth, OpImmKind,
     OpKind, StoreWidth,
 };
-use vortex_mem::{Ram, RamView, WriteLog};
+use vortex_mem::Ram;
 use vortex_tex::{FilterMode, TexFormat, TexState, WrapMode};
 
 /// A fault detected during functional execution. The core maps it to a
@@ -280,7 +280,7 @@ fn smem_phys(addr: u32, core_id: usize) -> u32 {
     addr.wrapping_add((core_id as u32) << 20)
 }
 
-fn ram_read(ram: &RamView<'_>, addr: u32, core_id: usize, width: LoadWidth) -> u32 {
+fn ram_read(ram: &Ram, addr: u32, core_id: usize, width: LoadWidth) -> u32 {
     let addr = if addr >= SMEM_BASE {
         smem_phys(addr, core_id)
     } else {
@@ -295,7 +295,7 @@ fn ram_read(ram: &RamView<'_>, addr: u32, core_id: usize, width: LoadWidth) -> u
     }
 }
 
-fn ram_write(ram: &mut RamView<'_>, addr: u32, core_id: usize, width: StoreWidth, value: u32) {
+fn ram_write(ram: &mut Ram, addr: u32, core_id: usize, width: StoreWidth, value: u32) {
     let addr = if addr >= SMEM_BASE {
         smem_phys(addr, core_id)
     } else {
@@ -414,9 +414,8 @@ fn fclass(bits: u32) -> u32 {
 /// CSR state changes apply immediately — see the crate-level discussion of
 /// the functional-first model.
 ///
-/// This convenience wrapper applies stores to `ram` eagerly; the simulator
-/// hot loop instead calls [`execute_with`] against a [`RamView`] so stores
-/// can be deferred to the commit phase of the two-phase protocol.
+/// This convenience wrapper allocates its payload buffers; the simulator
+/// hot loop calls [`execute_with`] with a long-lived [`ExecPool`] instead.
 ///
 /// # Errors
 /// Returns a [`Trap`] (without corrupting wavefront state) for SIMT
@@ -431,20 +430,16 @@ pub fn execute(
     instr: &Instr,
     instr_pc: u32,
 ) -> Result<ExecResult, Trap> {
-    let mut log = WriteLog::new();
-    let mut view = RamView::new(ram, &mut log);
-    let result = execute_with(
+    execute_with(
         wf,
         regs,
-        &mut view,
+        ram,
         csrf,
         env,
         instr,
         instr_pc,
         &mut ExecPool::default(),
-    );
-    log.apply(ram);
-    result
+    )
 }
 
 /// [`execute`] with caller-provided payload buffers — the simulator hot
@@ -457,7 +452,7 @@ pub fn execute(
 pub fn execute_with(
     wf: &mut Wavefront,
     regs: &RegFile,
-    ram: &mut RamView<'_>,
+    ram: &mut Ram,
     csrf: &mut CsrFile,
     env: &ExecEnv,
     instr: &Instr,

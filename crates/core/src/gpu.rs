@@ -6,23 +6,22 @@
 //! this sits below the AFU command processor (Figure 4); the command
 //! processor itself lives in `vortex-runtime`.
 //!
-//! ### Two-phase cycles
+//! ### One cycle
 //!
-//! Every simulated cycle is an explicit two-phase protocol:
+//! [`Gpu::step`] is the whole protocol, on one thread:
 //!
-//! 1. **compute** — each core ticks against a read-snapshot of the
-//!    functional [`Ram`], buffering its stores into a private write log
-//!    (its L1s, queues and fault plans are private already);
-//! 2. **commit** — in fixed core-id order: write logs apply to RAM, L1
-//!    miss traffic drains into the shared hierarchy, the hierarchy ticks,
-//!    and responses / global-barrier releases distribute back.
+//! 1. every core ticks, in ascending id order, against the one functional
+//!    [`Ram`] — loads read it and stores write it at issue time;
+//! 2. each core's L1 miss queues (I-cache, then D-cache) drain into the
+//!    shared hierarchy, the hierarchy ticks, fill responses go back to
+//!    the L1s, and global barriers resolve.
 //!
-//! The split is the memory-visibility semantics of the machine: a store
-//! becomes visible to every core on the cycle after it issues, whatever
-//! the core ids involved. Cycles, [`GpuStats`], telemetry and fault
-//! decisions are a pure function of the configuration. One thread runs
-//! both phases ([`Gpu::step`]); independent simulations parallelise at
-//! the sweep level (`vortex_par::par_map`).
+//! A store is visible to its own core at once and to every other core from
+//! the next cycle; within the cycle it issues, a load on another core sees
+//! it iff the storing core has the lower id. The order is fixed, so cycles,
+//! [`GpuStats`], telemetry and fault decisions are a pure function of the
+//! configuration. Independent simulations parallelise at the sweep level
+//! (`vortex_par::par_map`).
 
 use crate::barrier::{BarrierOutcome, BarrierTable};
 use crate::config::GpuConfig;
@@ -31,8 +30,8 @@ use crate::error::{HangReport, SimError};
 use crate::stats::GpuStats;
 use crate::telemetry::{Telemetry, TimeSeries};
 use vortex_faults::FaultConfig;
-use vortex_mem::hierarchy::{ClusterShard, HierarchyConfig, MemHierarchy};
-use vortex_mem::{MemReq, MemRsp, Ram, Tag};
+use vortex_mem::hierarchy::{HierarchyConfig, MemHierarchy};
+use vortex_mem::{MemRsp, Ram, Tag};
 
 /// Tag bit distinguishing I-cache from D-cache fills above the L1s.
 const ICACHE_BIT: Tag = 1 << 61;
@@ -85,62 +84,6 @@ pub struct Gpu {
 /// Live cycles to wait after a failed fast-forward probe before probing
 /// again (see [`Gpu::ff_backoff`]).
 const FF_PROBE_BACKOFF: u64 = 3;
-
-/// Moves one core's L1 miss traffic into its cluster shard, I-cache
-/// stream first. Shard admission is a pure capacity handshake (no fault
-/// gate), so both streams transfer as batches against secured space.
-fn drain_core_into_shard(shard: &mut ClusterShard, core: &mut Core, port: usize) {
-    let n = core.icache_mem_req_count().min(shard.req_space());
-    for req in core.drain_icache_mem_reqs(n) {
-        shard.admit(
-            port,
-            MemReq {
-                tag: req.tag | ICACHE_BIT,
-                ..req
-            },
-        );
-    }
-    let n = core.dcache_mem_req_count().min(shard.req_space());
-    for req in core.drain_dcache_mem_reqs(n) {
-        shard.admit(port, req);
-    }
-}
-
-/// Delivers a shard's routed fill responses to the owning L1s.
-fn deliver_shard_rsps(shard: &mut ClusterShard, core: &mut Core, port: usize) {
-    while let Some(rsp) = shard.pop_rsp(port) {
-        let icache = rsp.tag & ICACHE_BIT != 0;
-        core.push_l1_mem_rsp(
-            MemRsp {
-                tag: rsp.tag & !ICACHE_BIT,
-            },
-            icache,
-        );
-    }
-}
-
-/// One shard's slice of the commit phase: drain its cores' L1 miss
-/// traffic in, tick the shard, deliver its routed responses back — all
-/// in ascending core-id order. The responses delivered here are the
-/// ones this tick produced; the merge that follows only feeds fills
-/// into the shard's bank queues, which surface as responses on the
-/// *next* tick, so delivering before the merge is order-equivalent to
-/// the historical tick-then-deliver sequence. A quiescent shard with no
-/// incoming traffic costs one branch: its tick would change no state
-/// and its response queues are provably empty.
-fn commit_shard(shard: &mut ClusterShard, cores: &mut [Core]) {
-    let range = shard.core_range();
-    for cid in range.clone() {
-        drain_core_into_shard(shard, &mut cores[cid], cid - range.start);
-    }
-    if shard.quiet() {
-        return;
-    }
-    shard.begin_and_tick();
-    for cid in range.clone() {
-        deliver_shard_rsps(shard, &mut cores[cid], cid - range.start);
-    }
-}
 
 impl Gpu {
     /// Builds a GPU from `config` with zeroed memory.
@@ -222,8 +165,8 @@ impl Gpu {
         }
     }
 
-    /// Advances the whole processor one cycle: compute every core against
-    /// the RAM snapshot, then commit in core-id order. [`Gpu::run`] is
+    /// Advances the whole processor one cycle: tick every core in id order
+    /// against [`Gpu::ram`], then run the commit walk. [`Gpu::run`] is
     /// this plus fast-forward, telemetry and the watchdog, so a
     /// `step`-driven simulation is bit-identical to a `run` one. Between
     /// steps a core may hold deferred idle ticks (a park): [`Gpu::stats`]
@@ -232,18 +175,16 @@ impl Gpu {
     ///
     /// # Errors
     /// Propagates structured execution traps from the cores. Every core
-    /// still computes its cycle even when an earlier core traps, so the
-    /// state a caller inspects after the error (stats, profile, trace)
-    /// does not depend on which core id trapped; the lowest-core-id trap
-    /// is returned and the commit phase is skipped.
+    /// still ticks even when an earlier core traps, so the state a caller
+    /// inspects after the error (stats, profile, trace) does not depend on
+    /// which core id trapped; the lowest-core-id trap is returned and the
+    /// commit walk is skipped. Stores the non-trapping cores issued that
+    /// cycle have already landed in [`Gpu::ram`].
     pub fn step(&mut self) -> Result<(), SimError> {
-        // Compute phase.
         let mut first_err = None;
         for core in &mut self.cores {
-            if let Err(e) = core.tick(&self.ram) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+            if let Err(e) = core.tick(&mut self.ram) {
+                first_err.get_or_insert(e);
             }
         }
         if let Some(e) = first_err {
@@ -254,85 +195,21 @@ impl Gpu {
         Ok(())
     }
 
-    /// The commit phase: write logs apply to RAM, L1 miss traffic drains
-    /// into the hierarchy, the hierarchy ticks, fill responses and
+    /// The commit walk, the same for every topology: L1 miss queues
+    /// drain into the hierarchy, the hierarchy ticks, fill responses and
     /// global-barrier releases distribute back. Every loop walks cores in
-    /// ascending id order — that fixed order is the whole determinism
-    /// argument, so nothing here may depend on anything else.
+    /// ascending id order — with the single thread, that fixed order is
+    /// the whole determinism argument.
     fn commit_cycle(&mut self) {
-        // Buffered stores → functional RAM, in core-id then program order.
-        for core in &mut self.cores {
-            core.commit_stores(&mut self.ram);
-        }
-
-        // L1 miss traffic in, shard/DRAM ticks, fill responses out.
-        if self.hierarchy.num_shards() == 0 {
-            self.commit_flat();
-        } else {
-            for si in 0..self.hierarchy.num_shards() {
-                commit_shard(self.hierarchy.shard_mut(si), &mut self.cores);
-            }
-            self.hierarchy.merge();
-        }
-
-        self.commit_barriers();
-    }
-
-    /// The flat-topology commit: L1 miss traffic drains straight into
-    /// the DRAM input queue — one batched transfer when the queue
-    /// guarantees capacity, the per-request handshake when it is full or
-    /// a fault plan draws a decision per push — then the DRAM ticks and
-    /// routed responses deliver back to the owning L1s.
-    fn commit_flat(&mut self) {
         let hierarchy = &mut self.hierarchy;
-        let mut space = hierarchy.flat_space();
         for (cid, core) in self.cores.iter_mut().enumerate() {
-            if space > 0 {
-                let n = core.icache_mem_req_count().min(space);
-                for req in core.drain_icache_mem_reqs(n) {
-                    hierarchy.admit_flat(
-                        cid,
-                        MemReq {
-                            tag: req.tag | ICACHE_BIT,
-                            ..req
-                        },
-                    );
-                }
-                space -= n;
-                let n = core.dcache_mem_req_count().min(space);
-                for req in core.drain_dcache_mem_reqs(n) {
-                    hierarchy.admit_flat(cid, req);
-                }
-                space -= n;
-            } else {
-                // No guaranteed capacity: the queue is full (every push
-                // below fails cheaply, as the batch would have) or a
-                // fault plan gates each handshake (each push must draw
-                // its own decision).
-                while let Some(req) = core.peek_icache_mem_req().copied() {
-                    let wrapped = MemReq {
-                        tag: req.tag | ICACHE_BIT,
-                        ..req
-                    };
-                    if hierarchy.push_req(cid, wrapped).is_ok() {
-                        core.pop_icache_mem_req();
-                    } else {
-                        break;
-                    }
-                }
-                while let Some(req) = core.peek_dcache_mem_req().copied() {
-                    if hierarchy.push_req(cid, req).is_ok() {
-                        core.pop_dcache_mem_req();
-                    } else {
-                        break;
-                    }
-                }
-            }
+            let (icache, dcache) = core.l1s_mut();
+            hierarchy.accept_from(cid, icache, ICACHE_BIT);
+            hierarchy.accept_from(cid, dcache, 0);
         }
 
-        hierarchy.merge();
+        hierarchy.tick();
 
-        // Fill responses → owning L1.
         for (cid, core) in self.cores.iter_mut().enumerate() {
             while let Some(rsp) = hierarchy.pop_rsp(cid) {
                 let icache = rsp.tag & ICACHE_BIT != 0;
@@ -344,6 +221,8 @@ impl Gpu {
                 );
             }
         }
+
+        self.commit_barriers();
     }
 
     /// Global barriers (barrier ids with the MSB set): participants are

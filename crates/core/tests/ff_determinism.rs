@@ -53,8 +53,8 @@ fn config(fast_forward: bool, sample: u64, profile: bool) -> GpuConfig {
 }
 
 /// Same knobs on a clustered topology: 2 clusters of 2 cores behind
-/// per-cluster L2s and a shared L3 — the commit phase walks the shards,
-/// whose quiet-shard early-outs must agree byte-for-byte with live
+/// per-cluster L2s and a shared L3 — the hierarchy skips the tick of a
+/// quiet level, and those early-outs must agree byte-for-byte with live
 /// ticking.
 fn clustered_config(fast_forward: bool, sample: u64, profile: bool) -> GpuConfig {
     let mut config = config(fast_forward, sample, profile);

@@ -64,6 +64,14 @@ fn expect_corrupt(bytes: &[u8], what: &str) {
     }
 }
 
+/// Recomputes the CRC trailer over deliberately patched bytes, the way a
+/// writer of such a snapshot would have sealed it.
+fn reseal(bytes: &mut [u8]) {
+    let crc_at = bytes.len() - 4;
+    let crc = vortex_snapshot::crc32(&bytes[..crc_at]);
+    bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+}
+
 #[test]
 fn every_truncation_prefix_is_refused() {
     let (_, snap) = paused_gpu();
@@ -108,9 +116,7 @@ fn foreign_magic_and_version_are_refused() {
     // way a v2 writer would.
     let mut bad_version = snap.clone();
     bad_version[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let crc_at = bad_version.len() - 4;
-    let crc = vortex_snapshot::crc32(&bad_version[..crc_at]);
-    bad_version[crc_at..].copy_from_slice(&crc.to_le_bytes());
+    reseal(&mut bad_version);
     match fresh_gpu().restore_snapshot(&bad_version) {
         Err(SimError::SnapshotCorrupt(reason)) => {
             assert!(
@@ -170,4 +176,31 @@ fn restore_failure_does_not_poison_future_restores() {
     assert_eq!(fresh.cycle(), gpu.cycle(), "restored machine is at the pause point");
     let stats = fresh.run(100_000).expect("restored machine completes");
     assert!(stats.cycles > gpu.cycle(), "machine made progress after restore");
+}
+
+#[test]
+fn nonzero_reserved_store_count_is_refused() {
+    use vortex_snapshot::{Snap, Writer, HEADER_BYTES};
+    let (gpu, snap) = paused_gpu();
+    // Each core's payload ends `[reserved u64][cycle u64][drained]
+    // [has_faults][CoreStats]`, and core 0's payload follows the
+    // container header and the GPU's three leading u64s.
+    let (mut core, mut stats) = (Writer::new(), Writer::new());
+    gpu.core(0).save_state(&mut core);
+    gpu.core(0).stats_snapshot().save(&mut stats);
+    let at = HEADER_BYTES + 3 * 8 + core.len() - stats.len() - 2 - 8 - 8;
+    let anchor = [0u64.to_le_bytes(), gpu.cycle().to_le_bytes()].concat();
+    assert_eq!(snap[at..at + 16], anchor, "reserved word, then the core's cycle");
+
+    // Re-sealed, so the refusal comes from the field check and not from
+    // the checksum.
+    let mut bad = snap.clone();
+    bad[at] = 1;
+    reseal(&mut bad);
+    match fresh_gpu().restore_snapshot(&bad) {
+        Err(SimError::SnapshotCorrupt(reason)) => {
+            assert!(reason.contains("reserved"), "diagnosis must name the field: {reason}");
+        }
+        other => panic!("non-zero reserved field accepted: {other:?}"),
+    }
 }

@@ -124,3 +124,83 @@ fn integer_div_blocks_its_unit() {
     });
     assert!(two >= 2 * latency, "two divs ≥ 2×{latency}: {two}");
 }
+
+/// Two cores race on one word: `storer` stores 1 to it, the other core
+/// loads it. Returns `(load issue cycle − store issue cycle, loaded value)`.
+///
+/// Both cores run the same prologue, warm their I-caches in a first pass
+/// and leave a global barrier in lock step; from there each path is a
+/// `div` → `div` dependency chain ending in `csrr x6, cycle` (held back by
+/// the write-after-write hazard on `x6`) with the memory instruction
+/// buffered right behind it, so the access issues exactly one cycle after
+/// the cycle the `csrr` read. `pad_store` / `pad_load` splice one
+/// dependent no-op (`addi x6, x6, 0`) into a chain, delaying that core's
+/// access by exactly one cycle — independent `nop`s would vanish in the
+/// divider's shadow, and a lone wavefront fetches one only every third
+/// cycle.
+fn race(storer: usize, pad_store: bool, pad_load: bool) -> (i64, u32) {
+    const WORD: i32 = 0x1000;
+    const OUT: u32 = 0x2000; // per core: [cycle read, loaded value]
+    let mut a = Assembler::new();
+    a.csrr(Reg::X5, csr::VX_CID);
+    a.li(Reg::X8, storer as i32);
+    a.li(Reg::X9, 1);
+    a.li(Reg::X11, WORD);
+    a.slli(Reg::X12, Reg::X5, 3);
+    a.li(Reg::X13, OUT as i32);
+    a.add(Reg::X12, Reg::X12, Reg::X13);
+    a.li(Reg::X14, vortex_isa::vx::BAR_GLOBAL_BIT as i32);
+    a.li(Reg::X15, 2);
+    a.li(Reg::X20, 0); // pass number, and the value stored: 0 then 1
+    a.label("pass").unwrap();
+    a.bar(Reg::X14, Reg::X15);
+    a.bne(Reg::X5, Reg::X8, "loader");
+    let chain = |a: &mut Assembler, pad: bool| {
+        a.div(Reg::X6, Reg::X9, Reg::X9);
+        if pad {
+            a.addi(Reg::X6, Reg::X6, 0);
+        }
+        a.div(Reg::X6, Reg::X6, Reg::X9);
+        a.csrr(Reg::X6, csr::CYCLE);
+    };
+    chain(&mut a, pad_store);
+    a.sw(Reg::X20, Reg::X11, 0);
+    a.j("record");
+    a.label("loader").unwrap();
+    chain(&mut a, pad_load);
+    a.lw(Reg::X7, Reg::X11, 0);
+    a.label("record").unwrap();
+    a.sw(Reg::X6, Reg::X12, 0);
+    a.sw(Reg::X7, Reg::X12, 4);
+    a.addi(Reg::X20, Reg::X20, 1);
+    a.bne(Reg::X20, Reg::X15, "pass");
+    a.ecall();
+    let prog = a.assemble(ENTRY).expect("assembles");
+    let mut gpu = Gpu::new(GpuConfig::with_cores(2));
+    gpu.ram.write_bytes(prog.base, &prog.to_bytes());
+    gpu.launch(prog.entry);
+    gpu.run(1_000_000).expect("finishes");
+    let out = |core: usize, word: u32| gpu.ram.read_u32(OUT + core as u32 * 8 + word * 4);
+    let loader = 1 - storer;
+    let delta = i64::from(out(loader, 0)) - i64::from(out(storer, 0));
+    (delta, out(loader, 1))
+}
+
+/// The publication rule of DESIGN §10: cores tick in ascending id order
+/// against one memory, so a load issuing in the same cycle as another
+/// core's store sees it iff the storing core has the lower id. A cycle
+/// earlier it never does, a cycle later it always does.
+#[test]
+fn same_cycle_store_is_visible_to_higher_core_ids_only() {
+    for (storer, same_cycle) in [(0, 1), (1, 0)] {
+        let sweep = [(true, false, 0), (false, false, same_cycle), (false, true, 1)];
+        for (want_delta, (pad_store, pad_load, want)) in (-1..=1).zip(sweep) {
+            let (delta, loaded) = race(storer, pad_store, pad_load);
+            assert_eq!(delta, want_delta, "pad sweep missed its cycle (storer {storer})");
+            assert_eq!(
+                loaded, want,
+                "core {storer} stores, load issues {delta:+} cycles from the store"
+            );
+        }
+    }
+}

@@ -27,8 +27,8 @@
 //!    upload, kernel launch, framebuffer readback.
 //!
 //! [`bench`] packages a textured depth-tested scene as a
-//! `vortex_kernels::Benchmark` (the `raster-mc16` vxbench tier), with the
-//! host reference as its validation oracle.
+//! `vortex_kernels::Benchmark` (the `raster-mc16` workload `gfx_gate.rs`
+//! pins), with the host reference as its validation oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

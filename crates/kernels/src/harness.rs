@@ -34,8 +34,8 @@ pub struct BenchResult {
     pub series: Option<TimeSeries>,
     /// The merged PC-level profile, when the config enabled the profiler
     /// (`GpuConfig::profile`); `None` otherwise. Observation-only: `stats`
-    /// is bit-identical whether or not this is collected (`vxbench`
-    /// asserts it per workload).
+    /// is bit-identical whether or not this is collected (`profile_gate.rs`
+    /// asserts it per gate workload).
     pub profile: Option<GpuProfile>,
 }
 

@@ -10,14 +10,15 @@
 //! `(source port, original tag)` so responses route back even when two
 //! cores fill the same line address concurrently.
 //!
-//! # Sharding
+//! # Edges
 //!
-//! The hierarchy is split along the cluster boundary: each per-cluster L2,
-//! together with its slice of core ports, lives in a [`ClusterShard`] that
-//! ticks on its own against only its cluster's cores. Everything below the
-//! L2s — the optional L3, the DRAM and the routing tables that span
-//! clusters — is advanced by [`MemHierarchy::merge`], which visits shards
-//! in ascending cluster order after they have ticked.
+//! Traffic moves down the hierarchy along two kinds of edge, one function
+//! each. Cache → [`SharedLevel`] (L1→L2, L2→L3) is a pure capacity
+//! handshake and always transfers as one batch. Cache → DRAM (the last
+//! cache level's miss queue — on a flat topology the L1's own) is one
+//! batch too, unless a DRAM fault plan draws a decision per handshake.
+//! [`MemHierarchy::tick`] runs the levels top-down in ascending cluster
+//! order, then routes DRAM and L3 completions back up as fills.
 
 use crate::cache::{Cache, CacheConfig, CacheOccupancy};
 use crate::dram::{Dram, DramConfig};
@@ -202,9 +203,6 @@ struct SharedLevel {
     pending_cap: usize,
     /// Responses routed back per upstream port.
     rsp_out: Vec<VecDeque<MemRsp>>,
-    /// Reservation for each `rsp_out` queue; the high-water mark is
-    /// audited against it by the allocation tests.
-    rsp_reserved: usize,
     /// Most responses ever queued on one port (host diagnostic, not state).
     rsp_high_water: usize,
 }
@@ -212,10 +210,7 @@ struct SharedLevel {
 impl SharedLevel {
     fn new(config: CacheConfig, ports: usize) -> Self {
         let pending_cap = ports * 2;
-        // A single tick can retire at most one access per bank stage, but a
-        // fill releasing MSHR subscribers can surface a burst; reserve for
-        // the worst realistic burst and audit the high-water mark in tests.
-        let rsp_reserved = config.num_banks * config.ports.max(1) * 4 + 16;
+        let rsp_reserved = Self::rsp_reservation(&config);
         // Reads alive inside the level: staged admissions, bank input
         // queues, pipeline stages, replays, and MSHR subscribers.
         let tag_cap = pending_cap
@@ -229,9 +224,16 @@ impl SharedLevel {
             rsp_out: (0..ports)
                 .map(|_| VecDeque::with_capacity(rsp_reserved))
                 .collect(),
-            rsp_reserved,
             rsp_high_water: 0,
         }
+    }
+
+    /// Reservation for each `rsp_out` queue. A single tick can retire at
+    /// most one access per bank stage, but a fill releasing MSHR
+    /// subscribers can surface a burst; reserve for the worst realistic
+    /// burst (the allocation test audits `rsp_high_water` against this).
+    fn rsp_reservation(config: &CacheConfig) -> usize {
+        config.num_banks * config.ports.max(1) * 4 + 16
     }
 
     /// Free admission slots. With no fault gate on this handshake (the
@@ -257,6 +259,15 @@ impl SharedLevel {
             addr: req.addr,
             write: req.write,
         });
+    }
+
+    /// The cache → shared-level edge: `cache`'s miss traffic moves in as one
+    /// batch against [`SharedLevel::space`], tags OR-ed with `tag_bits`.
+    fn accept_from(&mut self, cache: &mut Cache, port: usize, tag_bits: Tag) {
+        let n = cache.mem_req_count().min(self.space());
+        for req in cache.drain_mem_reqs(n) {
+            self.admit(port, tagged(req, tag_bits));
+        }
     }
 
     /// Admits an upstream request if the pending buffer has room.
@@ -332,121 +343,64 @@ impl SharedLevel {
     }
 }
 
-/// One independently tickable slice of the hierarchy: a per-cluster shared
-/// L2 plus the core ports of that cluster.
-///
-/// Shards have no references into each other or into the remainder below
-/// them (L3/DRAM): traffic crossing the cluster boundary in either
-/// direction only moves during [`MemHierarchy::merge`].
-#[derive(Debug)]
-pub struct ClusterShard {
-    level: SharedLevel,
-    core_lo: usize,
-    core_hi: usize,
-}
-
-impl ClusterShard {
-    /// Global ids of the cores whose L1 miss traffic this shard carries.
-    /// Core `core_lo + p` talks on upstream port `p`.
-    pub fn core_range(&self) -> std::ops::Range<usize> {
-        self.core_lo..self.core_hi
-    }
-
-    /// Free admission slots; this many [`ClusterShard::admit`] calls are
-    /// guaranteed to succeed (the admission handshake has no fault gate).
-    pub fn req_space(&self) -> usize {
-        self.level.space()
-    }
-
-    /// Admits one L1 miss request on upstream port `port` (0-based within
-    /// the cluster). The caller has checked [`ClusterShard::req_space`].
-    pub fn admit(&mut self, port: usize, req: MemReq) {
-        self.level.admit(port, req);
-    }
-
-    /// Fallible form of [`ClusterShard::admit`] for per-request callers.
-    pub fn push_req(&mut self, port: usize, req: MemReq) -> Result<(), MemReq> {
-        self.level.push_req(port, req)
-    }
-
-    /// Drains one response for upstream port `port`.
-    pub fn pop_rsp(&mut self, port: usize) -> Option<MemRsp> {
-        self.level.rsp_out[port].pop_front()
-    }
-
-    /// `true` when a tick would change no state and draw no fault
-    /// decision — quiescent shards cost their caller one branch.
-    pub fn quiet(&self) -> bool {
-        self.level.ff_idle()
-    }
-
-    /// Advances the shard one cycle: clears the bank claims and runs the
-    /// L2. Miss traffic accumulates in the L2's memory queue until the
-    /// next [`MemHierarchy::merge`].
-    pub fn begin_and_tick(&mut self) {
-        self.level.begin_cycle();
-        self.level.tick();
-    }
-
-    /// Times the shard's tag table grew past its reservation (allocation
-    /// audit; zero on fault-free runs).
-    pub fn tag_grows(&self) -> u64 {
-        self.level.tags.grows
-    }
-
-    /// Most responses ever queued on one upstream port (allocation audit;
-    /// must stay at or below [`ClusterShard::rsp_reserved`]).
-    pub fn rsp_high_water(&self) -> usize {
-        self.level.rsp_high_water
-    }
-
-    /// Per-port response-queue reservation.
-    pub fn rsp_reserved(&self) -> usize {
-        self.level.rsp_reserved
+/// `req` with `bits` OR-ed into its tag.
+fn tagged(req: MemReq, bits: Tag) -> MemReq {
+    MemReq {
+        tag: req.tag | bits,
+        ..req
     }
 }
 
-/// Moves a cache's miss traffic into the DRAM input queue, re-tagged for
-/// routing back to `port`. Fault-free, both queues hand out guaranteed
-/// capacity, so the transfer is one batched drain; with a DRAM fault plan
-/// attached every push must draw its own handshake decision, so the
-/// per-request fallback preserves the exact decision stream.
-fn drain_to_dram(dram: &mut Dram, tags: &mut TagTable, cache: &mut Cache, port: usize) {
+/// One request across the DRAM handshake, re-tagged for routing back to
+/// `port`.
+fn push_to_dram(
+    dram: &mut Dram,
+    tags: &mut TagTable,
+    port: usize,
+    req: MemReq,
+) -> Result<(), MemReq> {
+    if !dram.can_accept() {
+        return Err(req);
+    }
+    // Writes never produce responses, so they take no routing entry.
+    let tag = if req.write { 0 } else { tags.wrap(port, req.tag) };
+    dram.push_req(MemReq { tag, ..req }).map_err(|_| {
+        // The push can fail even after `can_accept` when a fault plan
+        // stalls the handshake: reclaim the routing tag or it leaks and
+        // the hierarchy never reads as idle again.
+        if !req.write {
+            tags.unwrap(tag);
+        }
+        req
+    })
+}
+
+/// The cache → DRAM edge: `cache`'s miss traffic moves into the DRAM input
+/// queue, tags OR-ed with `tag_bits` and re-tagged for routing back to
+/// `port`. Fault-free, the queue hands out guaranteed capacity, so the
+/// transfer is one batched drain; with a DRAM fault plan attached every
+/// push must draw its own handshake decision, so the per-request loop
+/// preserves the exact decision stream.
+fn drain_to_dram(
+    dram: &mut Dram,
+    tags: &mut TagTable,
+    cache: &mut Cache,
+    port: usize,
+    tag_bits: Tag,
+) {
     if dram.has_fault() {
-        while let Some(req) = cache.peek_mem_req().copied() {
-            if !dram.can_accept() {
+        while let Some(&req) = cache.peek_mem_req() {
+            if push_to_dram(dram, tags, port, tagged(req, tag_bits)).is_err() {
                 break;
             }
-            let tag = if req.write { 0 } else { tags.wrap(port, req.tag) };
-            match dram.push_req(MemReq {
-                tag,
-                addr: req.addr,
-                write: req.write,
-            }) {
-                Ok(()) => {
-                    cache.pop_mem_req();
-                }
-                Err(_) => {
-                    // Injected handshake stall: reclaim the tag.
-                    if !req.write {
-                        tags.unwrap(tag);
-                    }
-                    break;
-                }
-            }
+            cache.pop_mem_req();
         }
         return;
     }
     let n = cache.mem_req_count().min(dram.space());
     for req in cache.drain_mem_reqs(n) {
-        let tag = if req.write { 0 } else { tags.wrap(port, req.tag) };
-        let pushed = dram.push_req(MemReq {
-            tag,
-            addr: req.addr,
-            write: req.write,
-        });
+        let pushed = push_to_dram(dram, tags, port, tagged(req, tag_bits));
         debug_assert!(pushed.is_ok(), "space() guaranteed this push");
-        let _ = pushed;
     }
 }
 
@@ -454,13 +408,16 @@ fn drain_to_dram(dram: &mut Dram, tags: &mut TagTable, cache: &mut Cache, port: 
 #[derive(Debug)]
 pub struct MemHierarchy {
     config: HierarchyConfig,
-    /// Per-cluster shards (empty when no L2 is configured).
-    shards: Vec<ClusterShard>,
+    /// Per-cluster shared L2s (empty when no L2 is configured).
+    l2: Vec<SharedLevel>,
+    /// Core id → (cluster, upstream port on that cluster's L2), resolved
+    /// once so the per-cycle paths never divide by the cluster size.
+    route: Vec<(usize, usize)>,
     l3: Option<SharedLevel>,
     dram: Dram,
     dram_tags: TagTable,
     /// Per-core response queues (flat topology only; with L2s configured,
-    /// responses ride the shards' port queues instead).
+    /// responses ride the L2s' port queues instead).
     core_rsp: Vec<VecDeque<MemRsp>>,
 }
 
@@ -472,17 +429,9 @@ impl MemHierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.cores_per_cluster > 0, "cluster size must be non-zero");
         let clusters = config.num_clusters();
-        let shards = match &config.l2 {
+        let l2 = match &config.l2 {
             Some(cfg) => (0..clusters)
-                .map(|ci| {
-                    let core_lo = ci * config.cores_per_cluster;
-                    let core_hi = (core_lo + config.cores_per_cluster).min(config.num_cores);
-                    ClusterShard {
-                        level: SharedLevel::new(*cfg, config.cores_per_cluster),
-                        core_lo,
-                        core_hi,
-                    }
-                })
+                .map(|_| SharedLevel::new(*cfg, config.cores_per_cluster))
                 .collect(),
             None => Vec::new(),
         };
@@ -493,139 +442,89 @@ impl MemHierarchy {
         let dcfg = config.dram;
         let dram_cap = dcfg.queue_size + dcfg.channels as usize * dcfg.latency as usize + 8;
         Self {
+            l2,
+            route: (0..config.num_cores)
+                .map(|c| (c / config.cores_per_cluster, c % config.cores_per_cluster))
+                .collect(),
+            l3,
             dram: Dram::new(dcfg),
             dram_tags: TagTable::with_capacity(dram_cap),
             core_rsp: (0..config.num_cores).map(|_| VecDeque::new()).collect(),
-            shards,
-            l3,
             config,
         }
     }
 
-    /// Number of cluster shards (0 on a flat hierarchy).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard, for the commit phase to drain, tick and deliver.
-    pub fn shard_mut(&mut self, i: usize) -> &mut ClusterShard {
-        &mut self.shards[i]
-    }
-
-    /// Guaranteed flat-path admissions this cycle: free DRAM input slots,
-    /// or 0 when the topology has L2s (use the shards) or a DRAM fault
-    /// plan gates every handshake individually (use
-    /// [`MemHierarchy::push_req`] per request).
+    /// Moves `cache`'s queued miss traffic — an L1 of `core` — into the
+    /// level below it, tags OR-ed with `tag_bits` so the caller can tell
+    /// its L1s apart when the fills come back. Whatever does not fit stays
+    /// queued in the cache and retries next cycle.
     #[inline]
-    pub fn flat_space(&self) -> usize {
-        if !self.shards.is_empty() || self.dram.has_fault() {
-            0
+    pub fn accept_from(&mut self, core: usize, cache: &mut Cache, tag_bits: Tag) {
+        if cache.mem_req_count() == 0 {
+            return;
+        }
+        if self.l2.is_empty() {
+            drain_to_dram(&mut self.dram, &mut self.dram_tags, cache, core, tag_bits);
         } else {
-            self.dram.space()
+            let (cluster, port) = self.route[core];
+            self.l2[cluster].accept_from(cache, port, tag_bits);
         }
     }
 
-    /// Admits one request straight to DRAM; the caller has checked
-    /// [`MemHierarchy::flat_space`].
-    #[inline]
-    pub fn admit_flat(&mut self, core: usize, req: MemReq) {
-        let tag = if req.write {
-            0
-        } else {
-            self.dram_tags.wrap(core, req.tag)
-        };
-        let pushed = self.dram.push_req(MemReq {
-            tag,
-            addr: req.addr,
-            write: req.write,
-        });
-        debug_assert!(pushed.is_ok(), "flat_space() guaranteed this push");
-        let _ = pushed;
-    }
-
-    /// Pushes one L1 miss-traffic request from `core`. Fails on
-    /// backpressure; the core retries next cycle.
+    /// Pushes one L1 miss-traffic request from `core`: the single-request
+    /// form of [`MemHierarchy::accept_from`]. Fails on backpressure; the
+    /// caller retries next cycle.
     ///
     /// # Panics
     /// Panics if `core` is out of range.
     pub fn push_req(&mut self, core: usize, req: MemReq) -> Result<(), MemReq> {
         assert!(core < self.config.num_cores, "core id out of range");
-        if self.shards.is_empty() {
-            // Straight to DRAM (re-tagged for routing).
-            if !self.dram.can_accept() {
-                return Err(req);
-            }
-            let tag = if req.write {
-                0
-            } else {
-                self.dram_tags.wrap(core, req.tag)
-            };
-            match self.dram.push_req(MemReq {
-                tag,
-                addr: req.addr,
-                write: req.write,
-            }) {
-                Ok(()) => Ok(()),
-                Err(r) => {
-                    // The push can fail even after `can_accept` when a fault
-                    // plan stalls the handshake: reclaim the routing tag or
-                    // it leaks and the hierarchy never reads as idle again.
-                    if !req.write {
-                        self.dram_tags.unwrap(tag);
-                    }
-                    Err(MemReq {
-                        tag: req.tag,
-                        addr: r.addr,
-                        write: r.write,
-                    })
-                }
-            }
+        if self.l2.is_empty() {
+            push_to_dram(&mut self.dram, &mut self.dram_tags, core, req)
         } else {
-            let cluster = core / self.config.cores_per_cluster;
-            let port = core % self.config.cores_per_cluster;
-            self.shards[cluster].push_req(port, req)
+            let (cluster, port) = self.route[core];
+            self.l2[cluster].push_req(port, req)
         }
     }
 
     /// Pops one fill response destined for `core`.
+    #[inline]
     pub fn pop_rsp(&mut self, core: usize) -> Option<MemRsp> {
-        if self.shards.is_empty() {
+        if self.l2.is_empty() {
             self.core_rsp[core].pop_front()
         } else {
-            let cluster = core / self.config.cores_per_cluster;
-            let port = core % self.config.cores_per_cluster;
-            self.shards[cluster].pop_rsp(port)
+            let (cluster, port) = self.route[core];
+            self.l2[cluster].rsp_out[port].pop_front()
         }
     }
 
-    /// Advances the remainder below the shards by one cycle: drains each
-    /// shard's L2 miss traffic downstream (ascending cluster order), runs
-    /// the L3 and the DRAM, and routes completions back up into the
-    /// shards' caches. Callers tick the shards first, then merge;
-    /// [`MemHierarchy::tick`] packages that sequence.
-    pub fn merge(&mut self) {
+    /// Advances every shared level and the DRAM by one cycle, top-down in
+    /// ascending cluster order, then routes completions back up. A level
+    /// whose tick would change no state and draw no fault decision
+    /// ([`SharedLevel::ff_idle`]) is skipped; an admission makes it
+    /// non-idle, so nothing staged is ever stranded.
+    pub fn tick(&mut self) {
         let num_cores = self.config.num_cores;
-        let nshards = self.shards.len();
+        let nl2 = self.l2.len();
 
-        // L2 miss traffic → L3 (or DRAM).
-        for ci in 0..nshards {
-            let cache = &mut self.shards[ci].level.cache;
+        // L2s, and their miss traffic → L3 (or DRAM).
+        for (ci, l2) in self.l2.iter_mut().enumerate() {
+            if !l2.ff_idle() {
+                l2.begin_cycle();
+                l2.tick();
+            }
             match &mut self.l3 {
-                Some(l3) => {
-                    // Both sides of this handshake are pure capacity checks,
-                    // so the transfer batches exactly.
-                    let n = cache.mem_req_count().min(l3.space());
-                    for req in cache.drain_mem_reqs(n) {
-                        l3.admit(ci, req);
-                    }
-                }
-                None => drain_to_dram(&mut self.dram, &mut self.dram_tags, cache, num_cores + ci),
+                Some(l3) => l3.accept_from(&mut l2.cache, ci, 0),
+                None => drain_to_dram(
+                    &mut self.dram,
+                    &mut self.dram_tags,
+                    &mut l2.cache,
+                    num_cores + ci,
+                    0,
+                ),
             }
         }
 
-        // A quiescent L3's tick would be a pure no-op (its bank claims are
-        // already clear — see `Cache::ff_idle`), so skip it; admissions
-        // above make it non-idle, so nothing staged is ever stranded.
         if let Some(l3) = &mut self.l3 {
             if !l3.ff_idle() {
                 l3.begin_cycle();
@@ -634,7 +533,8 @@ impl MemHierarchy {
                     &mut self.dram,
                     &mut self.dram_tags,
                     &mut l3.cache,
-                    num_cores + nshards,
+                    num_cores + nl2,
+                    0,
                 );
             }
         }
@@ -646,48 +546,30 @@ impl MemHierarchy {
             let Some((port, orig)) = self.dram_tags.unwrap(rsp.tag) else {
                 continue;
             };
+            let fill = MemRsp { tag: orig };
             if port < num_cores {
-                self.core_rsp[port].push_back(MemRsp { tag: orig });
-            } else {
-                let idx = port - num_cores;
-                if idx < nshards {
-                    self.shards[idx].level.cache.push_mem_rsp(MemRsp { tag: orig });
-                } else if let Some(l3) = &mut self.l3 {
-                    l3.cache.push_mem_rsp(MemRsp { tag: orig });
-                }
+                self.core_rsp[port].push_back(fill);
+            } else if let Some(l2) = self.l2.get_mut(port - num_cores) {
+                l2.cache.push_mem_rsp(fill);
+            } else if let Some(l3) = &mut self.l3 {
+                l3.cache.push_mem_rsp(fill);
             }
         }
 
         // L3 responses → L2 fills.
         if let Some(l3) = &mut self.l3 {
-            for ci in 0..nshards {
-                if l3.rsp_out[ci].is_empty() {
-                    continue;
-                }
-                let cache = &mut self.shards[ci].level.cache;
-                while let Some(rsp) = l3.rsp_out[ci].pop_front() {
-                    cache.push_mem_rsp(rsp);
+            for (l2, rsps) in self.l2.iter_mut().zip(&mut l3.rsp_out) {
+                while let Some(rsp) = rsps.pop_front() {
+                    l2.cache.push_mem_rsp(rsp);
                 }
             }
         }
-    }
-
-    /// Advances every shared level and the DRAM by one cycle, moving
-    /// traffic between levels — "tick every non-quiescent shard, then
-    /// merge".
-    pub fn tick(&mut self) {
-        for shard in &mut self.shards {
-            if !shard.quiet() {
-                shard.begin_and_tick();
-            }
-        }
-        self.merge();
     }
 
     /// Flushes every shared cache level (part of the `fence` path).
     pub fn flush(&mut self) {
-        for shard in &mut self.shards {
-            shard.level.cache.flush();
+        for l2 in &mut self.l2 {
+            l2.cache.flush();
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.flush();
@@ -698,7 +580,7 @@ impl MemHierarchy {
     pub fn is_idle(&self) -> bool {
         self.dram.is_idle()
             && self.dram_tags.is_empty()
-            && self.shards.iter().all(|s| s.level.is_idle())
+            && self.l2.iter().all(SharedLevel::is_idle)
             && self.l3.as_ref().is_none_or(SharedLevel::is_idle)
             && self.core_rsp.iter().all(VecDeque::is_empty)
     }
@@ -712,7 +594,7 @@ impl MemHierarchy {
     /// `u64::MAX` (outstanding routing tags alone hold no event — they
     /// wait on DRAM in-flight entries, which are accounted here).
     pub fn next_event_cycle(&self, now: u64) -> u64 {
-        let levels_idle = self.shards.iter().all(ClusterShard::quiet)
+        let levels_idle = self.l2.iter().all(SharedLevel::ff_idle)
             && self.l3.as_ref().is_none_or(SharedLevel::ff_idle)
             && self.core_rsp.iter().all(VecDeque::is_empty);
         if !levels_idle {
@@ -727,8 +609,8 @@ impl MemHierarchy {
     /// `begin_cycle` (a no-op on an idle selector) and the DRAM clock
     /// advancing.
     pub fn bulk_advance(&mut self, delta: u64) {
-        for shard in &mut self.shards {
-            shard.level.begin_cycle();
+        for l2 in &mut self.l2 {
+            l2.begin_cycle();
         }
         if let Some(l3) = &mut self.l3 {
             l3.begin_cycle();
@@ -753,14 +635,14 @@ impl MemHierarchy {
 
     /// L2 statistics per cluster (empty when no L2 is configured).
     pub fn l2_stats(&self) -> Vec<crate::cache::CacheStats> {
-        self.shards.iter().map(|s| s.level.cache.stats).collect()
+        self.l2.iter().map(|l| l.cache.stats).collect()
     }
 
     /// Times any routing tag table grew past its reservation — the
     /// allocation audit's headline number; zero on fault-free runs.
     pub fn tag_grows(&self) -> u64 {
         self.dram_tags.grows
-            + self.shards.iter().map(ClusterShard::tag_grows).sum::<u64>()
+            + self.l2.iter().map(|l| l.tags.grows).sum::<u64>()
             + self.l3.as_ref().map_or(0, |l| l.tags.grows)
     }
 
@@ -777,8 +659,8 @@ impl MemHierarchy {
             return;
         }
         self.dram.set_fault(faults.plan(site::DRAM));
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.level.cache.set_fault(faults.plan(site::l2(i)));
+        for (i, l2) in self.l2.iter_mut().enumerate() {
+            l2.cache.set_fault(faults.plan(site::l2(i)));
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.set_fault(faults.plan(site::L3));
@@ -789,8 +671,8 @@ impl MemHierarchy {
     /// after rollback re-runs the remaining window fault-free).
     pub fn clear_faults(&mut self) {
         self.dram.clear_fault();
-        for shard in &mut self.shards {
-            shard.level.cache.clear_fault();
+        for l2 in &mut self.l2 {
+            l2.cache.clear_fault();
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.clear_fault();
@@ -803,20 +685,15 @@ impl MemHierarchy {
     /// hierarchy consumed its decision streams identically.
     pub fn fault_draws(&self) -> u64 {
         self.dram.fault_draws()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.level.cache.fault_draws())
-                .sum::<u64>()
+            + self.l2.iter().map(|l| l.cache.fault_draws()).sum::<u64>()
             + self.l3.as_ref().map_or(0, |l| l.cache.fault_draws())
     }
 
-    /// Appends everything in flight above the L1s: every shard's shared
-    /// level, the L3, the DRAM, the routing tag tables and the per-core
-    /// response queues.
+    /// Appends everything in flight above the L1s: every L2, the L3, the
+    /// DRAM, the routing tag tables and the per-core response queues.
     pub fn save_state(&self, w: &mut Writer) {
-        for shard in &self.shards {
-            shard.level.save_state(w);
+        for l2 in &self.l2 {
+            l2.save_state(w);
         }
         if let Some(l3) = &self.l3 {
             l3.save_state(w);
@@ -832,8 +709,8 @@ impl MemHierarchy {
     /// count, presence of L2/L3) comes from this hierarchy's own
     /// configuration, never from the payload.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        for shard in &mut self.shards {
-            shard.level.restore_state(r)?;
+        for l2 in &mut self.l2 {
+            l2.restore_state(r)?;
         }
         if let Some(l3) = &mut self.l3 {
             l3.restore_state(r)?;
@@ -855,17 +732,14 @@ impl MemHierarchy {
             dram_responses,
             dram_dropped: self.dram.dropped_rsps,
             outstanding_tags: self.dram_tags.len(),
-            l2: self
-                .shards
-                .iter()
-                .map(|s| s.level.cache.occupancy())
-                .collect(),
+            l2: self.l2.iter().map(|l| l.cache.occupancy()).collect(),
             l3: self.l3.as_ref().map(|l| l.cache.occupancy()),
             core_rsp_pending: self.core_rsp.iter().map(VecDeque::len).sum::<usize>()
                 + self
-                    .shards
+                    .l2
                     .iter()
-                    .map(|s| s.level.rsp_out.iter().map(VecDeque::len).sum::<usize>())
+                    .flat_map(|l| &l.rsp_out)
+                    .map(VecDeque::len)
                     .sum::<usize>(),
         }
     }
@@ -1078,24 +952,24 @@ mod tests {
         cfg.l2 = Some(l2_default());
         cfg.l3 = Some(l3_default());
         let mut h = MemHierarchy::new(cfg);
-        let mut outstanding = vec![0usize; 4];
+        let mut outstanding = [0usize; 4];
         let mut next_tag = 0 as Tag;
         for cycle in 0..4000u32 {
-            for core in 0..4usize {
+            for (core, pending) in outstanding.iter_mut().enumerate() {
                 // Keep up to 8 reads in flight per core over mixed lines.
-                while outstanding[core] < 8 {
+                while *pending < 8 {
                     let addr = (u32::from(next_tag as u16) % 512) * 0x40;
                     if h.push_req(core, MemReq::read(next_tag, addr)).is_err() {
                         break;
                     }
                     next_tag += 1;
-                    outstanding[core] += 1;
+                    *pending += 1;
                 }
             }
             h.tick();
-            for core in 0..4usize {
+            for (core, pending) in outstanding.iter_mut().enumerate() {
                 while h.pop_rsp(core).is_some() {
-                    outstanding[core] -= 1;
+                    *pending -= 1;
                 }
             }
             if cycle > 3000 && outstanding.iter().all(|&o| o == 0) {
@@ -1103,11 +977,10 @@ mod tests {
             }
         }
         assert_eq!(h.tag_grows(), 0, "tag tables must not grow fault-free");
-        for si in 0..h.num_shards() {
-            let shard = h.shard_mut(si);
+        for (ci, l2) in h.l2.iter().enumerate() {
             assert!(
-                shard.rsp_high_water() <= shard.rsp_reserved(),
-                "shard {si} response queues exceeded their reservation"
+                l2.rsp_high_water <= SharedLevel::rsp_reservation(l2.cache.config()),
+                "L2 {ci} response queues exceeded their reservation"
             );
         }
     }

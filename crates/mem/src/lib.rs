@@ -38,13 +38,11 @@ pub mod hierarchy;
 pub mod mshr;
 pub mod ram;
 pub mod req;
-pub mod shadow;
 pub mod smem;
 
 pub use cache::{Cache, CacheConfig, CacheOccupancy, CacheStats};
 pub use dram::{Dram, DramConfig};
-pub use hierarchy::{ClusterShard, HierarchyConfig, HierarchyOccupancy, MemHierarchy};
+pub use hierarchy::{HierarchyConfig, HierarchyOccupancy, MemHierarchy};
 pub use ram::Ram;
 pub use req::{MemReq, MemRsp, Tag};
-pub use shadow::{RamView, WriteLog};
 pub use smem::{SharedMem, SharedMemConfig};
