@@ -134,11 +134,14 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seeds" => {
+                // Zero seeds would build an empty matrix that reports every
+                // mode `ok` without running anything.
                 seeds = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| {
-                        eprintln!("--seeds needs a number");
+                        eprintln!("--seeds needs a positive integer");
                         std::process::exit(2);
                     });
             }

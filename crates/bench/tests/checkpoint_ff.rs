@@ -63,8 +63,8 @@ fn without_skip_accounting(doc: &str) -> String {
 
 #[test]
 fn checkpoint_schedule_identical_with_and_without_skipping() {
-    let base = std::env::temp_dir().join("vxsim_checkpoint_ff");
-    let _ = std::fs::remove_dir_all(&base);
+    // Per-process, so concurrent test runs on one host never share files.
+    let base = std::env::temp_dir().join(format!("vxsim_checkpoint_ff_{}", std::process::id()));
     std::fs::create_dir_all(&base).unwrap();
     let kernel = base.join("chase.s");
     std::fs::write(&kernel, KERNEL).unwrap();
@@ -133,4 +133,5 @@ fn checkpoint_schedule_identical_with_and_without_skipping() {
         let b = std::fs::read(base.join("live").join(name)).unwrap();
         assert_eq!(a, b, "{name}: checkpoint bytes differ under fast-forward");
     }
+    std::fs::remove_dir_all(&base).unwrap();
 }

@@ -1,152 +1,16 @@
-//! Integration tests for the host-performance and observability
-//! machinery: decode memoization and telemetry sampling must be invisible
-//! to simulated timing, the parallel sweep runner must be invisible to
-//! sweep results, `vxsim --trace` must dump the retained trace on failing
-//! outcomes (where it matters most), and the JSON exports must parse and
-//! carry their schemas' required keys.
+//! Process-level smokes for the installed binaries and the export paths:
+//! `vxsim` and `vxprof` end to end, `vxsim --trace` on failing outcomes
+//! (where it matters most), the stats-JSON and Perfetto exports parsing
+//! with their schemas' required keys, structured rejection of bad
+//! numeric flags, and the parallel sweep runner being invisible to sweep
+//! results. The simulator's bit-identity contract lives in
+//! `invariants.rs`.
 
 use std::process::Command;
 use vortex_bench::par;
-use vortex_core::{Gpu, GpuConfig, GpuStats};
-use vortex_kernels::{Benchmark, Bfs, FilterKind, Nearn, Sgemm, TexBench};
+use vortex_core::GpuConfig;
+use vortex_kernels::{Benchmark, Sgemm};
 use vortex_obs::Value;
-
-/// Runs `bench` with the decode memo forced on or off.
-fn run_with_memo(bench: &dyn Benchmark, memo: bool) -> GpuStats {
-    let mut config = GpuConfig::with_cores(1);
-    config.core.decode_cache = memo;
-    let r = bench.run_on(&config);
-    assert!(r.validated, "{} must validate", r.name);
-    r.stats
-}
-
-/// The decode memo is a pure host-side cache: every workload must produce
-/// bit-identical `GpuStats` (cycles, instruction counts, cache counters,
-/// stall breakdowns — everything) with the memo on and off.
-#[test]
-fn decode_memo_is_timing_invisible() {
-    let benches: Vec<(&str, Box<dyn Benchmark>)> = vec![
-        ("sgemm", Box::new(Sgemm::new(8))),
-        ("bfs", Box::new(Bfs::new(64, 3))),
-        ("nearn", Box::new(Nearn::new(128))),
-        ("texture", Box::new(TexBench::new(FilterKind::Bilinear, true, 4))),
-    ];
-    for (name, b) in &benches {
-        let with = run_with_memo(b.as_ref(), true);
-        let without = run_with_memo(b.as_ref(), false);
-        assert_eq!(
-            with, without,
-            "{name}: GpuStats must be identical with the decode memo on/off"
-        );
-    }
-}
-
-/// Every instruction word the registered workloads execute resolves to the
-/// same slot (need mask, gate, fetch-blocking) through the decode memo —
-/// on a miss, on a hit, and after other words have contended for its entry
-/// — as through a fresh `Slot::resolve`; and the workloads themselves run
-/// identically, stats and per-PC profile, with the memo on and off.
-#[test]
-fn memoized_slots_equal_fresh_resolution_on_every_workload_word() {
-    use vortex_core::decode_cache::DecodeCache;
-    use vortex_core::frontend::Slot;
-    for (name, bench) in vortex_bench::registered_benches(true) {
-        let run = |memo: bool| {
-            let mut config = GpuConfig::with_cores(4);
-            config.profile = true;
-            config.core.decode_cache = memo;
-            let r = bench.run_on(&config);
-            assert!(r.validated, "{name} must validate");
-            (r.stats, r.profile.expect("profiling enabled"))
-        };
-        let (stats_on, profile_on) = run(true);
-        let (stats_off, profile_off) = run(false);
-        assert_eq!(stats_on, stats_off, "{name}: GpuStats, memo on/off");
-        assert_eq!(profile_on, profile_off, "{name}: profile, memo on/off");
-        assert!(profile_on.sites.len() > 20, "{name}: profile covers the kernel");
-        let mut memo = DecodeCache::new();
-        for pass in 0..2 {
-            for (&pc, site) in &profile_on.sites {
-                let instr = vortex_isa::decode(site.word).expect("executed word decodes");
-                assert_eq!(
-                    memo.decode(site.word).expect("executed word decodes").at(pc),
-                    Slot::resolve(&instr).at(pc),
-                    "{name} pass {pass} pc {pc:#x} word {:#010x}",
-                    site.word
-                );
-            }
-        }
-    }
-}
-
-/// Telemetry sampling is read-only observation: every workload must
-/// produce bit-identical `GpuStats` (cycles, instruction counts, cache
-/// counters, stall breakdowns — everything) with sampling off and with an
-/// aggressive 64-cycle window. This is the overhead-discipline guarantee:
-/// `--sample` can never perturb what it measures.
-#[test]
-fn telemetry_sampling_is_timing_invisible() {
-    let benches: Vec<(&str, Box<dyn Benchmark>)> = vec![
-        ("sgemm", Box::new(Sgemm::new(8))),
-        ("bfs", Box::new(Bfs::new(64, 3))),
-        ("nearn", Box::new(Nearn::new(128))),
-        ("texture", Box::new(TexBench::new(FilterKind::Bilinear, true, 4))),
-    ];
-    for (name, b) in &benches {
-        let mut off = GpuConfig::with_cores(1);
-        off.sample_interval = 0;
-        let mut on = GpuConfig::with_cores(1);
-        on.sample_interval = 64;
-        let r_off = b.run_on(&off);
-        let r_on = b.run_on(&on);
-        assert!(r_off.validated && r_on.validated, "{name} must validate");
-        assert_eq!(
-            r_off.stats, r_on.stats,
-            "{name}: GpuStats must be identical with telemetry on/off"
-        );
-    }
-}
-
-/// Builds a small multi-wavefront kernel with enough control flow that a
-/// decode-order bug would scramble the trace.
-fn traced_program() -> vortex_asm::Program {
-    let mut a = vortex_asm::Assembler::new();
-    use vortex_isa::Reg;
-    a.li(Reg::X5, 0);
-    a.li(Reg::X6, 24);
-    a.label("loop").unwrap();
-    a.slli(Reg::X7, Reg::X5, 2);
-    a.lw(Reg::X8, Reg::X7, 0x100);
-    a.add(Reg::X8, Reg::X8, Reg::X5);
-    a.sw(Reg::X8, Reg::X7, 0x100);
-    a.addi(Reg::X5, Reg::X5, 1);
-    a.blt(Reg::X5, Reg::X6, "loop");
-    a.ecall();
-    a.assemble(0x8000_0000).expect("assembles")
-}
-
-fn run_traced(memo: bool) -> (GpuStats, String) {
-    let mut config = GpuConfig::with_cores(1);
-    config.core.decode_cache = memo;
-    let mut gpu = Gpu::new(config);
-    let prog = traced_program();
-    gpu.ram.write_bytes(prog.base, &prog.to_bytes());
-    gpu.core_mut(0).trace = vortex_core::trace::Trace::with_capacity(256);
-    gpu.launch(prog.entry);
-    let stats = gpu.run(1_000_000).expect("kernel finishes");
-    (stats, gpu.core(0).trace.dump())
-}
-
-/// The instruction-by-instruction trace (cycle, wavefront, PC, tmask,
-/// disassembly) must also be byte-identical with the memo on and off.
-#[test]
-fn decode_memo_preserves_trace_dumps() {
-    let (stats_on, trace_on) = run_traced(true);
-    let (stats_off, trace_off) = run_traced(false);
-    assert_eq!(stats_on, stats_off);
-    assert!(trace_on.lines().count() > 10, "trace captured something");
-    assert_eq!(trace_on, trace_off, "trace dumps must match");
-}
 
 /// The parallel sweep runner must return exactly what a sequential run
 /// returns, in the same order — here on real simulator work (a mix of
@@ -164,6 +28,114 @@ fn parallel_sweep_matches_sequential_byte_for_byte() {
     let sequential = par::par_map_with_jobs(1, &sweep, run);
     let parallel = par::par_map_with_jobs(4, &sweep, run);
     assert_eq!(sequential, parallel);
+}
+
+#[test]
+fn vxprof_cli_end_to_end() {
+    let dir = std::env::temp_dir().join(format!("vxprof_cli_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("sgemm.profile.json");
+    let folded = dir.join("sgemm.folded");
+    let out = Command::new(env!("CARGO_BIN_EXE_vxprof"))
+        .args([
+            "sgemm",
+            "--fast",
+            "--top",
+            "5",
+            "--json",
+            json.to_str().unwrap(),
+            "--folded",
+            folded.to_str().unwrap(),
+        ])
+        .output()
+        .expect("vxprof runs");
+    assert!(out.status.success(), "vxprof sgemm --fast must pass");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("thr-instrs"), "hotspot table header");
+    assert!(stdout.contains("0x8000"), "PC column present");
+    let doc = std::fs::read_to_string(&json).unwrap();
+    assert!(doc.contains("\"schema\": \"vortex-profile-v1\""));
+    let folded_text = std::fs::read_to_string(&folded).unwrap();
+    assert!(
+        folded_text.lines().next().is_some_and(|l| l.starts_with("vortex;")),
+        "folded stacks must be non-empty and well-formed"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // --list enumerates without simulating.
+    let out = Command::new(env!("CARGO_BIN_EXE_vxprof"))
+        .arg("--list")
+        .output()
+        .expect("vxprof --list runs");
+    assert!(out.status.success());
+    let names = String::from_utf8(out.stdout).unwrap();
+    for expected in ["sgemm", "bfs", "nearn", "texture", "raster"] {
+        assert!(names.lines().any(|l| l == expected), "--list lists {expected}");
+    }
+
+    // Unknown workloads and bad numerics are structured usage errors.
+    let out = Command::new(env!("CARGO_BIN_EXE_vxprof"))
+        .arg("nosuch")
+        .output()
+        .expect("vxprof runs");
+    assert_eq!(out.status.code(), Some(2), "unknown workload exits 2");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("available:"), "error lists available names");
+    let out = Command::new(env!("CARGO_BIN_EXE_vxprof"))
+        .args(["sgemm", "--top", "0"])
+        .output()
+        .expect("vxprof runs");
+    assert_eq!(out.status.code(), Some(2), "--top 0 exits 2");
+}
+
+#[test]
+fn cli_rejects_bad_numeric_flags() {
+    // Every numeric flag must reject 0 and garbage, and every flag that
+    // would silently select nothing must be refused, with a structured
+    // usage error (exit 2) — never a silent no-op or a panic.
+    let positive = "positive integer";
+    let rows: &[(&str, &[&str], &str)] = &[
+        ("vxsim", &["--sample", "0"], positive),
+        ("vxsim", &["--sample", "banana"], positive),
+        ("vxsim", &["--max-cycles", "0"], positive),
+        ("vxsim", &["--cores", "0"], positive),
+        ("vxsim", &["--checkpoint-every", "-5"], positive),
+        // Sizes the core model refuses (it would panic, not report).
+        ("vxsim", &["--threads", "33"], "--threads must be in 1..=32"),
+        ("vxsim", &["--warps", "65"], "--warps must be in 1..=64"),
+        // An L3 no request can reach, clusters that share nothing.
+        ("vxsim", &["--l3"], "--l3 has no effect without --l2"),
+        ("vxsim", &["--cores", "4", "--clusters", "2"], "--clusters has no effect without --l2"),
+        // Removed with the intra-simulation worker pool: unknown flag.
+        ("vxsim", &["--sim-threads", "4"], "usage: vxsim"),
+        // A matrix with no seeds would report every mode `ok` having run
+        // nothing.
+        ("fault_matrix", &["--seeds", "0"], "--seeds"),
+        ("fault_matrix", &["--seeds", "many"], "--seeds"),
+    ];
+    for &(bin, bad, expect) in rows {
+        let mut cmd = match bin {
+            "vxsim" => {
+                let mut cmd = Command::new(env!("CARGO_BIN_EXE_vxsim"));
+                cmd.arg("/nonexistent.s");
+                cmd
+            }
+            _ => Command::new(env!("CARGO_BIN_EXE_fault_matrix")),
+        };
+        let out = cmd.args(bad).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} {bad:?} must exit 2 (usage)");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(expect),
+            "{bin} {bad:?}: error must name the expectation, got: {err}"
+        );
+    }
+    // A flag expecting a path must not swallow the next flag.
+    let out = Command::new(env!("CARGO_BIN_EXE_vxsim"))
+        .args(["/nonexistent.s", "--profile-out", "--annotate"])
+        .output()
+        .expect("vxsim runs");
+    assert_eq!(out.status.code(), Some(2), "flag-like path value exits 2");
 }
 
 /// `vxsim --trace N` must dump the retained trace even when the run does

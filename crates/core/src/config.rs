@@ -165,7 +165,7 @@ pub struct GpuConfig {
     /// kills and resurrects the machine every `checkpoint_drill` cycles —
     /// serialize with `Gpu::save_snapshot`, rebuild a fresh `Gpu` from
     /// this configuration, restore, continue. A host-side exercise of the
-    /// crash-recovery path (used by the CI snapshot smoke job to prove the
+    /// crash-recovery path (a row of the invariant matrix, which proves the
     /// gate workloads' cycle counts survive interruption); simulated
     /// behavior is bit-identical on or off, and it never enters the
     /// snapshot fingerprint. `0` (the default) disables the
@@ -177,9 +177,10 @@ pub struct GpuConfig {
     /// counters, profile attribution, telemetry windows and watchdog/
     /// drill deadlines as if each cycle had ticked. Pure host-throughput
     /// optimization: simulated cycles, [`crate::GpuStats`], telemetry,
-    /// profiles and snapshots are bit-identical on or off (proven by
-    /// `tests/ff_determinism.rs`); skipping is horizon-clamped at fault
-    /// sites so injected decision streams advance cycle by cycle.
+    /// profiles and snapshots are bit-identical on or off (asserted by
+    /// the invariant matrix, `crates/bench/tests/invariants.rs`); skipping
+    /// is horizon-clamped at fault sites so injected decision streams
+    /// advance cycle by cycle.
     /// Defaults to on; [`GpuConfig::with_cores`] seeds it from
     /// `VORTEX_FF` (`0`/`off`/`false` disable), and `vxsim` exposes
     /// `--no-fast-forward`. Never enters the snapshot fingerprint.
@@ -223,8 +224,10 @@ impl GpuConfig {
         }
     }
 
-    /// Total hardware threads across the processor (the paper scales to
-    /// 512 = 32 cores × 4 wavefronts × 4 threads).
+    /// Total hardware threads across the processor: `num_cores ×
+    /// wavefronts × threads`, with no fixed ceiling (the paper's 32-core
+    /// baseline has 512; 64 cores have 1 024). The runtime reserves one
+    /// stack per thread, so the device heap shrinks as this grows.
     pub fn total_threads(&self) -> usize {
         self.num_cores * self.core.total_threads()
     }

@@ -321,7 +321,7 @@ impl Gpu {
         // cycles the machine is serialized, torn down, rebuilt from the
         // configuration, and restored from the bytes — a continuous
         // crash-and-resume exercise. Because save→restore is the identity
-        // (see `snapshot_determinism.rs`), the drilled run is bit-identical
+        // (the invariant matrix's resume rows), the drilled run is bit-identical
         // to an undrilled one. Note the watchdog caveat shared with any
         // chunked driver: each leg re-arms the progress baseline, so drill
         // intervals below `watchdog_cycles` blunt hang detection.

@@ -7,7 +7,8 @@
 //! or timing decision, so every hook in `core.rs` reads state the pipeline
 //! already computed and the whole subsystem is skipped (one `Option` test)
 //! when disabled. Cycle counts with profiling on are asserted identical to
-//! the pinned gate values in `crates/bench/tests/profile_gate.rs`.
+//! the pinned gate values by the invariant matrix
+//! (`crates/bench/tests/invariants.rs`).
 //!
 //! ## Counter semantics
 //!

@@ -1,7 +1,7 @@
 //! The rasterization benchmark: a full render-pipeline frame packaged as
 //! a [`vortex_kernels::Benchmark`] so the experiment harness (and the
-//! `raster-mc16` cycle gate, `gfx_gate.rs`) can drive it like any compute
-//! kernel.
+//! `raster-mc16` cycle pin in `crates/bench/tests/invariants.rs`) can drive
+//! it like any compute kernel.
 //!
 //! The scene is a seeded random triangle soup — overlapping, depth-tested,
 //! hardware-textured — so the kernel exercises the rasterizer's deepest

@@ -269,7 +269,7 @@ fn emit_sw_bilinear(
 /// lod_bits (f32), frac8, src_mip1`; target mode appends `target_w,
 /// target_h` at offsets 28/32. The target dimensions also specialize the
 /// emitted code, so the square default's instruction stream is exactly
-/// the historical one (`snapshot_smoke.rs` pins its cycle count).
+/// the historical one (the invariant matrix pins its cycle count).
 pub fn program(bench: &TexBench) -> vortex_asm::Program {
     let target = bench.target;
     let mut asm = Assembler::new();
@@ -708,7 +708,7 @@ mod tests {
 
     #[test]
     fn square_target_option_matches_default_codegen() {
-        // The pinned texture gate (`snapshot_smoke.rs`) depends on the
+        // The pinned texture gate (`invariants.rs`) depends on the
         // default path's instruction stream staying exactly as it was:
         // `target: None` must emit byte-identical code whatever the
         // option could do.

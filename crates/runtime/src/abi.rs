@@ -84,7 +84,9 @@ mod tests {
         assert!(HEAP_BASE < STACK_TOP);
         assert!(STACK_TOP < ARG_BASE);
         assert!(ARG_BASE < CODE_BASE);
-        // 512 threads × stack size fits below STACK_TOP.
+        // The paper's 512 threads' stacks fit below STACK_TOP with room for
+        // a heap; `Device::alloc` derives the real ceiling per device from
+        // its thread count.
         assert!(512 * STACK_SIZE < STACK_TOP - HEAP_BASE);
     }
 }

@@ -98,19 +98,26 @@ impl Device {
     }
 
     /// Allocates `size` bytes of device memory (64-byte aligned, matching
-    /// the cache line).
+    /// the cache line). The heap ends where the lowest per-thread stack
+    /// begins: one [`abi::STACK_SIZE`] slot below [`abi::STACK_TOP`] for
+    /// every hardware thread of this device.
     ///
     /// # Errors
-    /// Fails when the heap region is exhausted.
+    /// Fails when the heap region is exhausted, or when the stacks alone
+    /// do not fit below [`abi::STACK_TOP`].
     pub fn alloc(&mut self, size: u32) -> Result<DeviceBuffer, RuntimeError> {
-        let aligned = size
-            .checked_next_multiple_of(64)
-            .ok_or(RuntimeError::OutOfMemory { requested: size })?;
+        let oom = || RuntimeError::OutOfMemory { requested: size };
+        let aligned = size.checked_next_multiple_of(64).ok_or_else(oom)?;
+        let heap_top = u32::try_from(self.gpu.config().total_threads())
+            .ok()
+            .and_then(|threads| threads.checked_mul(abi::STACK_SIZE))
+            .and_then(|stacks| abi::STACK_TOP.checked_sub(stacks))
+            .ok_or_else(oom)?;
         let addr = self.heap_next;
         let end = addr
             .checked_add(aligned)
-            .filter(|&e| e <= abi::STACK_TOP - 512 * abi::STACK_SIZE)
-            .ok_or(RuntimeError::OutOfMemory { requested: size })?;
+            .filter(|&e| e <= heap_top)
+            .ok_or_else(oom)?;
         self.heap_next = end;
         Ok(DeviceBuffer { addr, size })
     }
@@ -303,6 +310,21 @@ mod tests {
         assert_eq!(a.addr % 64, 0);
         assert_eq!(b.addr, a.addr + 128);
         assert!(dev.alloc(u32::MAX).is_err());
+    }
+
+    #[test]
+    fn heap_stops_below_every_threads_stack() {
+        // 64 cores × 16 threads: thread 1023's stack is the 4 KiB below
+        // STACK_TOP - 1023 * STACK_SIZE, i.e. it starts at 0x7DC0_0000.
+        let mut dev = Device::new(GpuConfig::with_cores(64));
+        let lowest_stack = abi::STACK_TOP - 1024 * abi::STACK_SIZE;
+        assert_eq!(lowest_stack, 0x7DC0_0000);
+        let heap = dev.alloc(lowest_stack - abi::HEAP_BASE).unwrap();
+        assert_eq!(heap.addr + heap.size, lowest_stack);
+        assert_eq!(
+            dev.alloc(4096),
+            Err(RuntimeError::OutOfMemory { requested: 4096 })
+        );
     }
 
     #[test]
