@@ -6,13 +6,6 @@
 //! only) must always PASS with correct results — anything else is a
 //! simulator bug, so the binary exits non-zero.
 //!
-//! Every run that hangs is additionally re-executed under the
-//! checkpoint-rollback recovery policy (periodic in-memory snapshots; on
-//! a hang, roll back to the newest remaining checkpoint — popping it, so
-//! a repeated failure reaches further back — mask fault injection, and
-//! re-run). The `recovery` column reports how many of the hangs
-//! converged to a correct PASS this way and the total rollbacks spent.
-//!
 //! ```sh
 //! cargo run --release -p vortex-bench --bin fault_matrix -- [--seeds N]
 //! ```
@@ -52,15 +45,11 @@ struct Tally {
     timeout: u32,
     hang: u32,
     trap: u32,
-    recovered: u32,
-    retries: u32,
 }
 
 const MAX_CYCLES: u64 = 2_000_000;
-const CHECKPOINT_EVERY: u64 = 10_000;
-const MAX_RETRIES: u32 = 4;
 
-fn boot(faults: &FaultConfig) -> Gpu {
+fn run_one(faults: &FaultConfig) -> &'static str {
     let mut config = GpuConfig::with_cores(1);
     config.watchdog_cycles = 5_000;
     let mut gpu = Gpu::new(config);
@@ -68,18 +57,9 @@ fn boot(faults: &FaultConfig) -> Gpu {
     let prog = kernel();
     gpu.ram.write_bytes(prog.base, &prog.to_bytes());
     gpu.launch(prog.entry);
-    gpu
-}
-
-fn output_correct(gpu: &Gpu) -> bool {
-    (0..N).all(|i| gpu.ram.read_u32(OUT + i * 4) == i)
-}
-
-fn run_one(faults: &FaultConfig) -> &'static str {
-    let mut gpu = boot(faults);
     match gpu.run(MAX_CYCLES) {
         Ok(_) => {
-            if output_correct(&gpu) {
+            if (0..N).all(|i| gpu.ram.read_u32(OUT + i * 4) == i) {
                 "pass"
             } else {
                 "wrong"
@@ -88,42 +68,6 @@ fn run_one(faults: &FaultConfig) -> &'static str {
         Err(SimError::Timeout { .. }) => "timeout",
         Err(SimError::Hang(_)) => "hang",
         Err(_) => "trap",
-    }
-}
-
-/// Checkpoint-rollback retry for a configuration that hangs: the same
-/// kernel runs with periodic in-memory snapshots; each hang rolls back
-/// to the newest remaining checkpoint (popped, so a failure already
-/// latched in it reaches one checkpoint further back on the next round),
-/// masks fault injection, and re-executes. Returns the number of
-/// rollbacks spent when the run converges to a correct PASS, `None` when
-/// the retry budget runs out or the result is wrong.
-fn recover_one(faults: &FaultConfig) -> Option<u32> {
-    let mut gpu = boot(faults);
-    // The boot state is the floor of the rollback stack: even a hang
-    // before the first periodic checkpoint can restart from cycle 0.
-    let mut good: Vec<Vec<u8>> = vec![gpu.save_snapshot()];
-    let mut retries = 0u32;
-    loop {
-        let target = ((gpu.cycle() / CHECKPOINT_EVERY + 1) * CHECKPOINT_EVERY).min(MAX_CYCLES);
-        match gpu.run(target) {
-            Ok(_) => return output_correct(&gpu).then_some(retries),
-            Err(SimError::Timeout { cycles }) if cycles < MAX_CYCLES => {
-                if good.len() == 8 {
-                    good.remove(0);
-                }
-                good.push(gpu.save_snapshot());
-            }
-            Err(SimError::Hang(_)) if retries < MAX_RETRIES && !good.is_empty() => {
-                let snap = good.pop().expect("non-empty");
-                retries += 1;
-                if gpu.restore_snapshot(&snap).is_err() {
-                    return None;
-                }
-                gpu.clear_faults();
-            }
-            Err(_) => return None,
-        }
     }
 }
 
@@ -181,8 +125,8 @@ fn main() {
     ];
 
     println!(
-        "{:<16} {:>5} {:>6} {:>8} {:>5} {:>5}   {:<14} verdict",
-        "mode", "pass", "wrong", "timeout", "hang", "trap", "recovery"
+        "{:<16} {:>5} {:>6} {:>8} {:>5} {:>5}   verdict",
+        "mode", "pass", "wrong", "timeout", "hang", "trap"
     );
     // The whole (mode × seed) matrix is one parallel work list; outcomes
     // come back in input order, so the per-mode tallies (and therefore the
@@ -191,27 +135,18 @@ fn main() {
         .flat_map(|mi| (1..=seeds).map(move |seed| (mi, seed)))
         .collect();
     let outcomes = vortex_bench::par::par_map(&matrix, |_, &(mi, seed)| {
-        let faults = FaultConfig { seed, ..modes[mi].1 };
-        let outcome = run_one(&faults);
-        // Hanging runs get a second life under the recovery policy; the
-        // result feeds the `recovery` column only, never the tallies.
-        let recovery = (outcome == "hang").then(|| recover_one(&faults));
-        (outcome, recovery)
+        run_one(&FaultConfig { seed, ..modes[mi].1 })
     });
     let mut failed = false;
     for (mi, (name, base)) in modes.iter().enumerate() {
         let mut tally = Tally::default();
-        for (outcome, recovery) in &outcomes[mi * seeds as usize..(mi + 1) * seeds as usize] {
+        for outcome in &outcomes[mi * seeds as usize..(mi + 1) * seeds as usize] {
             match *outcome {
                 "pass" => tally.pass += 1,
                 "wrong" => tally.wrong += 1,
                 "timeout" => tally.timeout += 1,
                 "hang" => tally.hang += 1,
                 _ => tally.trap += 1,
-            }
-            if let Some(Some(rollbacks)) = recovery {
-                tally.recovered += 1;
-                tally.retries += rollbacks;
             }
         }
         let benign = base.is_benign();
@@ -224,23 +159,14 @@ fn main() {
             tally.wrong == 0
         };
         failed |= !ok;
-        let recovery = if tally.hang == 0 {
-            "-".to_string()
-        } else {
-            format!(
-                "{}/{} ({} rb)",
-                tally.recovered, tally.hang, tally.retries
-            )
-        };
         println!(
-            "{:<16} {:>5} {:>6} {:>8} {:>5} {:>5}   {:<14} {}",
+            "{:<16} {:>5} {:>6} {:>8} {:>5} {:>5}   {}",
             name,
             tally.pass,
             tally.wrong,
             tally.timeout,
             tally.hang,
             tally.trap,
-            recovery,
             if ok { "ok" } else { "FAIL" }
         );
     }

@@ -85,7 +85,15 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--top" => top = positive(&mut it, "--top"),
-            "--cores" => cores = positive(&mut it, "--cores"),
+            "--cores" => {
+                cores = positive(&mut it, "--cores");
+                // 16x the largest machine modelled; beyond it the core
+                // array alone exhausts host memory (an abort, not a report).
+                if cores > 1024 {
+                    eprintln!("vxprof: --cores must be in 1..=1024, got {cores}");
+                    usage();
+                }
+            }
             "--fast" => fast = true,
             "--json" => json_out = Some(take_path(&mut it, "--json")),
             "--folded" => folded_out = Some(take_path(&mut it, "--folded")),

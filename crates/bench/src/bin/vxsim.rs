@@ -7,7 +7,7 @@
 //!     [--sample N] [--stats-json FILE] [--timeline FILE] [--trace-out FILE] \
 //!     [--inject seed=S,dram_drop=R,...] \
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] \
-//!     [--resume-retry N] [--no-fast-forward]
+//!     [--no-fast-forward]
 //! ```
 //!
 //! `--inject` enables deterministic fault injection; the spec is a
@@ -18,13 +18,11 @@
 //! * `--sample N` snapshots per-core counter deltas every N cycles into a
 //!   time series (exported by `--stats-json` / `--timeline`);
 //! * `--stats-json FILE` writes the final `GpuStats` (plus the time
-//!   series, when sampled, and the recovery report, when rollbacks
-//!   happened) as JSON — also on TIMEOUT/HANG/TRAP, where the partial
-//!   counters are the diagnosis;
+//!   series, when sampled) as JSON — also on TIMEOUT/HANG/TRAP, where the
+//!   partial counters are the diagnosis;
 //! * `--timeline FILE` writes a Chrome/Perfetto `trace_event` JSON
 //!   timeline built from the instruction trace (enable with `--trace N`),
-//!   counter tracks from `--sample`, watchdog instants on a hang, and
-//!   recovery-rollback instants;
+//!   counter tracks from `--sample`, and watchdog instants on a hang;
 //! * `--trace-out FILE` redirects the instruction-trace dump, which
 //!   otherwise goes to stderr so it never interleaves with the report;
 //! * `--profile` enables the PC-level profiler (observation-only: cycle
@@ -44,25 +42,19 @@
 //!   image, fault-plan positions, telemetry) to a versioned, checksummed
 //!   snapshot `ckpt-<cycle>.vxsnap` under `--checkpoint-dir` (default
 //!   `.`). A run interrupted at any checkpoint boundary and resumed is
-//!   bit-identical to an uninterrupted run.
+//!   bit-identical to an uninterrupted run. Hang detection happens inside
+//!   each checkpoint chunk, so N should exceed the watchdog window (it is
+//!   rounded up with a warning otherwise).
 //! * `--resume FILE` restores a snapshot instead of booting the kernel
 //!   image. The command line must rebuild the same configuration (same
 //!   `--cores/--warps/...` and `--inject`) — a mismatch is refused with a
 //!   structured error, never undefined behavior.
 //! * `--no-fast-forward` disables the idle-cycle fast-forward engine and
-//!   ticks every cycle live (equivalent to `VORTEX_FF=0`, but the flag
-//!   wins over the environment). Skipping is a pure host optimization —
+//!   ticks every cycle live. Skipping is a pure host optimization —
 //!   cycle counts, stats, telemetry, profiles, checkpoint boundaries, and
 //!   snapshot bytes are bit-identical either way — so the flag exists for
 //!   A/B timing audits and for bisecting the engine itself, not for
 //!   correctness.
-//! * `--resume-retry N` arms watchdog-triggered auto-recovery: on a hang,
-//!   roll back to the last good checkpoint, mask fault injection, and
-//!   re-execute, up to N times. Every rollback is recorded in a recovery
-//!   report (stdout, stats JSON, timeline instants). Hang detection
-//!   happens inside each checkpoint chunk, so `--checkpoint-every` should
-//!   exceed the watchdog window (it is rounded up with a warning
-//!   otherwise).
 //!
 //! Exit codes (stable, for scripting):
 //! * `0` — PASS; `1` — host I/O error; `2` — usage error;
@@ -82,14 +74,14 @@ use std::io::Write as _;
 use vortex_asm::parse_asm;
 use vortex_core::{CoreConfig, Gpu, GpuConfig, SimError};
 use vortex_faults::FaultConfig;
-use vortex_obs::{RecoveryAttempt, RecoveryReport, Timeline};
+use vortex_obs::Timeline;
 use vortex_runtime::abi;
 
 /// Host-side I/O failure (unreadable kernel, unwritable artifact).
 const EXIT_IO: i32 = 1;
 /// Command-line usage error.
 const EXIT_USAGE: i32 = 2;
-/// The watchdog declared a hang and no retry budget remained.
+/// The watchdog declared a hang.
 const EXIT_HANG: i32 = 10;
 /// The pipeline raised a structured trap.
 const EXIT_TRAP: i32 = 11;
@@ -111,7 +103,7 @@ fn usage() -> ! {
          [--sample N] [--stats-json FILE] [--timeline FILE] \
          [--trace-out FILE] [--inject k=v,...] \
          [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] \
-         [--resume-retry N] [--profile] [--profile-out FILE] [--annotate] \
+         [--profile] [--profile-out FILE] [--annotate] \
          [--no-fast-forward]\n\
          exit codes: 0 pass, 1 io, 2 usage, 10 hang, 11 trap, \
          12 bad-access (reserved), 13 snapshot-corrupt, 14 timeout"
@@ -161,8 +153,9 @@ fn positive<'a>(it: &mut impl Iterator<Item = &'a String>, what: &str) -> u64 {
     }
 }
 
-/// [`positive`] with an upper bound — the largest size the core model is
-/// built for, which its constructors otherwise enforce by panicking.
+/// [`positive`] with an upper bound. Past it the model either panics in
+/// a constructor or sizes host buffers until allocation aborts, instead
+/// of reporting a usage error.
 fn at_most<'a>(it: &mut impl Iterator<Item = &'a String>, what: &str, max: u64) -> usize {
     let n = positive(it, what);
     if n > max {
@@ -188,7 +181,6 @@ fn main() {
     let mut checkpoint_every = 0u64;
     let mut checkpoint_dir = ".".to_string();
     let mut resume: Option<String> = None;
-    let mut resume_retry = 0u32;
     let mut profile = false;
     let mut profile_out: Option<String> = None;
     let mut annotate = false;
@@ -197,10 +189,13 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--cores" => cores = positive(&mut it, "--cores") as usize,
+            // 16x the largest machine modelled (64 cores).
+            "--cores" => cores = at_most(&mut it, "--cores", 1024),
             "--warps" => warps = at_most(&mut it, "--warps", 64),
             "--threads" => threads = at_most(&mut it, "--threads", 32),
-            "--ports" => ports = positive(&mut it, "--ports") as usize,
+            // A wavefront offers at most one request per lane, so ports
+            // beyond the thread ceiling can never coalesce more.
+            "--ports" => ports = at_most(&mut it, "--ports", 32),
             "--clusters" => clusters = Some(positive(&mut it, "--clusters") as usize),
             "--l2" => l2 = true,
             "--l3" => l3 = true,
@@ -208,7 +203,6 @@ fn main() {
             "--max-cycles" => max_cycles = positive(&mut it, "--max-cycles"),
             "--sample" => sample = positive(&mut it, "--sample"),
             "--checkpoint-every" => checkpoint_every = positive(&mut it, "--checkpoint-every"),
-            "--resume-retry" => resume_retry = positive(&mut it, "--resume-retry") as u32,
             "--checkpoint-dir" => checkpoint_dir = take_path(&mut it, "--checkpoint-dir"),
             "--resume" => resume = Some(take_path(&mut it, "--resume")),
             "--stats-json" => stats_json = Some(take_path(&mut it, "--stats-json")),
@@ -281,9 +275,7 @@ fn main() {
     let profiling = profile || profile_out.is_some() || annotate;
     config.profile = profiling;
     // A host-only knob: every simulated observable (cycle counts, stats,
-    // checkpoints) is bit-identical with skipping on or off. `with_cores`
-    // already honored `VORTEX_FF`; the explicit flag takes precedence over
-    // the environment.
+    // checkpoints) is bit-identical with skipping on or off.
     if no_fast_forward {
         config.fast_forward = false;
     }
@@ -300,15 +292,6 @@ fn main() {
     }
     let mut gpu = Gpu::new(config);
     gpu.apply_faults(&faults);
-    // Recent checkpoints the recovery policy can roll back to, newest
-    // last. A stack rather than a single slot: the watchdog declares a
-    // hang up to two windows after progress actually stopped, so the
-    // newest checkpoint may already contain the latched failure (e.g. a
-    // dropped DRAM response that will never arrive). Each rollback pops —
-    // a retry that fails again automatically reaches one checkpoint
-    // further back.
-    let mut good: Vec<(u64, Vec<u8>)> = Vec::new();
-    const KEPT_CHECKPOINTS: usize = 8;
     match &resume {
         Some(path) => {
             // The snapshot carries the full memory image, fault-plan
@@ -323,19 +306,10 @@ fn main() {
                 eprintln!("SNAPSHOT CORRUPT: {e}");
                 std::process::exit(EXIT_SNAPSHOT_CORRUPT);
             }
-            good.push((gpu.cycle(), bytes));
         }
         None => {
             gpu.ram.write_bytes(program.base, &program.to_bytes());
             gpu.launch(program.entry);
-            if resume_retry > 0 {
-                // The boot state is the floor of the rollback stack: a
-                // failure that latched before the oldest surviving
-                // periodic checkpoint can still replay from cycle 0 with
-                // faults masked instead of exhausting the stack and
-                // giving up.
-                good.push((0, gpu.save_snapshot()));
-            }
         }
     }
     if trace > 0 {
@@ -354,12 +328,7 @@ fn main() {
     // The run loop: with checkpointing off this is a single `run` to the
     // budget; with it on, the budget is covered in checkpoint-interval
     // chunks, each pause writing a snapshot any later invocation can
-    // `--resume` from with bit-identical results. A hang with retry
-    // budget left rolls back to the last good snapshot, masks fault
-    // injection (deterministic replay would otherwise fail identically),
-    // and re-executes.
-    let mut recovery = RecoveryReport::default();
-    let mut retries_left = resume_retry;
+    // `--resume` from with bit-identical results.
     let outcome = loop {
         let target = gpu
             .cycle()
@@ -369,50 +338,15 @@ fn main() {
             Err(SimError::Timeout { cycles }) if cycles < max_cycles => {
                 // A checkpoint boundary, not a real timeout: persist and
                 // keep going.
-                let snap = gpu.save_snapshot();
                 let path = format!("{checkpoint_dir}/ckpt-{cycles}.vxsnap");
-                if let Err(e) = std::fs::write(&path, &snap) {
+                if let Err(e) = std::fs::write(&path, gpu.save_snapshot()) {
                     eprintln!("cannot write checkpoint {path}: {e}");
                     std::process::exit(EXIT_IO);
                 }
-                if good.len() == KEPT_CHECKPOINTS {
-                    good.remove(0);
-                }
-                good.push((cycles, snap));
-            }
-            Err(SimError::Hang(report)) if retries_left > 0 && !good.is_empty() => {
-                let (ck_cycle, snap) = good.pop().expect("checked above");
-                retries_left -= 1;
-                recovery.attempts.push(RecoveryAttempt {
-                    attempt: recovery.attempts.len() as u32 + 1,
-                    failure_cycle: report.cycle,
-                    restored_cycle: ck_cycle,
-                    cause: format!(
-                        "hang: no forward progress for {} cycles",
-                        report.window
-                    ),
-                    faults_masked: true,
-                });
-                eprintln!(
-                    "HANG at cycle {}; rolling back to checkpoint at cycle \
-                     {ck_cycle} ({} retr{} left)",
-                    report.cycle,
-                    retries_left,
-                    if retries_left == 1 { "y" } else { "ies" }
-                );
-                if let Err(e) = gpu.restore_snapshot(&snap) {
-                    eprintln!("SNAPSHOT CORRUPT during rollback: {e}");
-                    std::process::exit(EXIT_SNAPSHOT_CORRUPT);
-                }
-                gpu.clear_faults();
             }
             other => break other,
         }
     };
-    recovery.recovered = outcome.is_ok();
-    if !recovery.is_empty() {
-        eprintln!("{recovery}");
-    }
     // Dump the trace on *every* outcome: on HANG/TRAP/TIMEOUT the last
     // instructions before the machine stopped are exactly what is needed.
     // Default sink is stderr so the trace never interleaves with the
@@ -432,12 +366,7 @@ fn main() {
     // The stats snapshot is valid on every outcome; on an abnormal stop
     // the partial counters (plus the sampled series) are the diagnosis.
     if let Some(path) = &stats_json {
-        let doc = vortex_obs::render_stats_with_recovery(
-            &file,
-            &gpu.stats(),
-            gpu.time_series(),
-            Some(&recovery),
-        );
+        let doc = vortex_obs::render_stats(&file, &gpu.stats(), gpu.time_series());
         write_file(path, "stats JSON", &doc);
     }
     // The PC-level profile, like the stats, is valid on every outcome —
@@ -466,7 +395,6 @@ fn main() {
         if let Err(SimError::Hang(report)) = &outcome {
             tl.add_hang_report(report);
         }
-        tl.add_recovery_report(&recovery);
         write_file(path, "timeline", &tl.render());
     }
     match outcome {

@@ -82,10 +82,7 @@ fn checkpoint_schedule_identical_with_and_without_skipping() {
                 "--stats-json",
                 stats.to_str().unwrap(),
             ])
-            .args(extra)
-            // Pin the environment: the skipping run must skip even under a
-            // `VORTEX_FF=0` CI leg, and the flag must win over `VORTEX_FF=1`.
-            .env("VORTEX_FF", "1");
+            .args(extra);
         let out = cmd.output().expect("vxsim runs");
         assert!(
             out.status.success(),

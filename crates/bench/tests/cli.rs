@@ -1,10 +1,10 @@
 //! Process-level smokes for the installed binaries and the export paths:
 //! `vxsim` and `vxprof` end to end, `vxsim --trace` on failing outcomes
-//! (where it matters most), the stats-JSON and Perfetto exports parsing
-//! with their schemas' required keys, structured rejection of bad
-//! numeric flags, and the parallel sweep runner being invisible to sweep
-//! results. The simulator's bit-identity contract lives in
-//! `invariants.rs`.
+//! (where it matters most), the hang exit code and its artifacts, the
+//! stats-JSON and Perfetto exports parsing with their schemas' required
+//! keys, structured rejection of bad numeric flags, and the parallel
+//! sweep runner being invisible to sweep results. The simulator's
+//! bit-identity contract lives in `invariants.rs`.
 
 use std::process::Command;
 use vortex_bench::par;
@@ -103,11 +103,19 @@ fn cli_rejects_bad_numeric_flags() {
         // Sizes the core model refuses (it would panic, not report).
         ("vxsim", &["--threads", "33"], "--threads must be in 1..=32"),
         ("vxsim", &["--warps", "65"], "--warps must be in 1..=64"),
+        // Sizes that would overflow a capacity or exhaust host memory.
+        ("vxsim", &["--ports", "33"], "--ports must be in 1..=32"),
+        ("vxsim", &["--ports", "18446744073709551615"], "--ports must be in 1..=32"),
+        ("vxsim", &["--cores", "1025"], "--cores must be in 1..=1024"),
+        ("vxsim", &["--cores", "100000000"], "--cores must be in 1..=1024"),
+        ("vxprof", &["sgemm", "--fast", "--cores", "100000000"], "--cores must be in 1..=1024"),
         // An L3 no request can reach, clusters that share nothing.
         ("vxsim", &["--l3"], "--l3 has no effect without --l2"),
         ("vxsim", &["--cores", "4", "--clusters", "2"], "--clusters has no effect without --l2"),
         // Removed with the intra-simulation worker pool: unknown flag.
         ("vxsim", &["--sim-threads", "4"], "usage: vxsim"),
+        // Removed with the rollback-and-retry policy: unknown flag.
+        ("vxsim", &["--resume-retry", "4"], "usage: vxsim"),
         // A matrix with no seeds would report every mode `ok` having run
         // nothing.
         ("fault_matrix", &["--seeds", "0"], "--seeds"),
@@ -120,6 +128,7 @@ fn cli_rejects_bad_numeric_flags() {
                 cmd.arg("/nonexistent.s");
                 cmd
             }
+            "vxprof" => Command::new(env!("CARGO_BIN_EXE_vxprof")),
             _ => Command::new(env!("CARGO_BIN_EXE_fault_matrix")),
         };
         let out = cmd.args(bad).output().expect("binary runs");
@@ -136,6 +145,45 @@ fn cli_rejects_bad_numeric_flags() {
         .output()
         .expect("vxsim runs");
     assert_eq!(out.status.code(), Some(2), "flag-like path value exits 2");
+}
+
+/// A hang is exit 10 with the watchdog report on stderr, and the
+/// artifacts of the run up to the hang survive it: the partial stats JSON
+/// (with no rollback bookkeeping) and the checkpoints written before the
+/// watchdog fired. One wavefront waits at a barrier sized for two, so the
+/// machine stops making progress deterministically.
+#[test]
+fn vxsim_hang_exits_10_with_artifacts() {
+    let src = "    li t0, 0\n    li t1, 2\n    bar t0, t1\n    ecall\n";
+    let dir = std::env::temp_dir().join(format!("vxsim_hang_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = dir.join("hang.s");
+    let stats = dir.join("stats.json");
+    std::fs::write(&kernel, src).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_vxsim"))
+        .arg(&kernel)
+        .args(["--checkpoint-every", "10000", "--checkpoint-dir"])
+        .arg(&dir)
+        .arg("--stats-json")
+        .arg(&stats)
+        .output()
+        .expect("vxsim runs");
+    assert_eq!(out.status.code(), Some(10), "a hang exits 10: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("HANG: hang detected"), "hang report on stderr: {err}");
+    assert!(err.contains("stall=Barrier"), "report names the stuck warp: {err}");
+    let v = Value::parse(&std::fs::read_to_string(&stats).unwrap()).expect("stats JSON parses");
+    assert!(v.get("cycles").is_some());
+    assert!(v.get("recovery").is_none(), "no rollback bookkeeping");
+    let checkpoints = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name().into_string().unwrap();
+            name.starts_with("ckpt-") && name.ends_with(".vxsnap")
+        })
+        .count();
+    assert!(checkpoints >= 1, "checkpoints before the hang are kept");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `vxsim --trace N` must dump the retained trace even when the run does

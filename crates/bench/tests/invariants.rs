@@ -343,17 +343,9 @@ impl Column {
     }
 }
 
-/// `cores` baseline cores with fast-forward forced on, so a `VORTEX_FF=0`
-/// environment cannot turn the skipping cells into live ones.
-fn base_config(cores: usize) -> GpuConfig {
-    let mut c = GpuConfig::with_cores(cores);
-    c.fast_forward = true;
-    c
-}
-
-/// [`base_config`] with telemetry and the profiler on.
+/// `cores` baseline cores with telemetry and the profiler on.
 fn observed(cores: usize) -> GpuConfig {
-    let mut c = base_config(cores);
+    let mut c = GpuConfig::with_cores(cores);
     c.sample_interval = INTERVAL;
     c.profile = true;
     c
@@ -968,7 +960,7 @@ fn gate(name: &str) -> &'static Column {
             "bfs" => &[PROFILED, SAMPLED, GATE_DRILL, FAST_FORWARD_OFF],
             _ => GATE_ROWS,
         };
-        bench_column(bench, base_config(1), rows, Some(pin))
+        bench_column(bench, GpuConfig::with_cores(1), rows, Some(pin))
     })
 }
 
@@ -1027,7 +1019,7 @@ fn bfs_default_fast_forward_skips_a_quarter() {
 /// almost every miss into a long idle span.
 #[test]
 fn bfs_dram_latency_400() {
-    let mut config = base_config(1);
+    let mut config = GpuConfig::with_cores(1);
     config.dram.latency = 400;
     let column = bench_column(Box::new(Bfs::default()), config, &[FAST_FORWARD_OFF], None);
     column.check_all();
@@ -1039,14 +1031,15 @@ fn bfs_dram_latency_400() {
 /// that skipping never perturbs the multi-core simulation.
 #[test]
 fn bfs_mc16() {
-    bench_column(Box::new(Bfs::default()), base_config(16), &[FAST_FORWARD_OFF], None).check_all();
+    let config = GpuConfig::with_cores(16);
+    bench_column(Box::new(Bfs::default()), config, &[FAST_FORWARD_OFF], None).check_all();
 }
 
 /// The graphics gate: geometry, binning and the SIMT raster kernel with
 /// hardware texture sampling on 16 flat cores.
 #[test]
 fn raster_quick_mc16() {
-    bench_column(Box::new(RasterBench::quick()), base_config(16), &[], Some(226_212));
+    bench_column(Box::new(RasterBench::quick()), GpuConfig::with_cores(16), &[], Some(226_212));
 }
 
 /// The registered workloads at their fast sizes on 4 profiled cores, with
@@ -1054,7 +1047,7 @@ fn raster_quick_mc16() {
 fn registered() -> &'static [Column] {
     static COLUMNS: OnceLock<Vec<Column>> = OnceLock::new();
     COLUMNS.get_or_init(|| {
-        let mut config = base_config(4);
+        let mut config = GpuConfig::with_cores(4);
         config.profile = true;
         let benches = vortex_bench::registered_benches(true).into_iter();
         benches.map(|(_, b)| bench_column(b, config.clone(), &[DECODE_MEMO_OFF], None)).collect()

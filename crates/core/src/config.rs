@@ -181,8 +181,7 @@ pub struct GpuConfig {
     /// the invariant matrix, `crates/bench/tests/invariants.rs`); skipping
     /// is horizon-clamped at fault sites so injected decision streams
     /// advance cycle by cycle.
-    /// Defaults to on; [`GpuConfig::with_cores`] seeds it from
-    /// `VORTEX_FF` (`0`/`off`/`false` disable), and `vxsim` exposes
+    /// On in [`GpuConfig::with_cores`]; `vxsim` exposes
     /// `--no-fast-forward`. Never enters the snapshot fingerprint.
     pub fast_forward: bool,
     /// Enable the PC-level profiler ([`crate::profile`]): per-PC issue
@@ -219,7 +218,7 @@ impl GpuConfig {
             sample_interval: 0,
             sim_threads: 1,
             checkpoint_drill: 0,
-            fast_forward: fast_forward_from_env(),
+            fast_forward: true,
             profile: false,
         }
     }
@@ -236,19 +235,6 @@ impl GpuConfig {
 impl Default for GpuConfig {
     fn default() -> Self {
         Self::with_cores(1)
-    }
-}
-
-/// Idle-cycle fast-forward requested via `VORTEX_FF` (default on).
-/// `0`, `off`, or `false` (case-insensitive) disable it; anything else —
-/// including an unset variable — leaves it enabled. This knob never
-/// changes simulated behavior, only host wall-clock; reading it here
-/// (inside [`GpuConfig::with_cores`]) lets CI run the entire suite with
-/// skipping disabled.
-pub fn fast_forward_from_env() -> bool {
-    match std::env::var("VORTEX_FF") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false"),
-        Err(_) => true,
     }
 }
 

@@ -1284,16 +1284,6 @@ impl Core {
         &self.regs
     }
 
-    /// Detaches every fault plan from this core's components and re-enables
-    /// the drained-core fast path (recovery masking: after a rollback the
-    /// retry re-runs the remaining cycles fault-free).
-    pub fn clear_faults(&mut self) {
-        self.icache.clear_fault();
-        self.dcache.clear_fault();
-        self.tex_unit.clear_fault();
-        self.has_faults = false;
-    }
-
     /// Appends the core's complete simulation state: architectural state
     /// (wavefronts, registers, scoreboards, CSRs, barriers), every pipeline
     /// and memory-side structure in flight, fault-plan positions (inside

@@ -616,17 +616,6 @@ impl Gpu {
         self.ram.restore_state(&mut r)?;
         r.finish()
     }
-
-    /// Detaches every fault plan machine-wide (cores and the shared
-    /// hierarchy). Used by recovery policies that re-execute a rolled-back
-    /// window with injection masked, so a fault-induced hang cannot simply
-    /// recur deterministically on every retry.
-    pub fn clear_faults(&mut self) {
-        for core in &mut self.cores {
-            core.clear_faults();
-        }
-        self.hierarchy.clear_faults();
-    }
 }
 
 #[cfg(test)]

@@ -559,11 +559,6 @@ impl Cache {
         self.fault = Some(plan);
     }
 
-    /// Detaches any fault plan (recovery masking after a rollback).
-    pub fn clear_fault(&mut self) {
-        self.fault = None;
-    }
-
     /// Decisions drawn from the attached fault plan so far (0 when no plan
     /// is attached) — input to the per-site determinism audit.
     pub fn fault_draws(&self) -> u64 {

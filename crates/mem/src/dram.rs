@@ -78,12 +78,6 @@ impl Dram {
         self.fault = Some(plan);
     }
 
-    /// Detaches the controller's and its input queue's fault plans.
-    pub fn clear_fault(&mut self) {
-        self.input.clear_fault();
-        self.fault = None;
-    }
-
     /// Decisions drawn from the controller's fault plan plus its input
     /// queue's handshake plan — input to the per-site determinism audit.
     pub fn fault_draws(&self) -> u64 {

@@ -47,12 +47,6 @@ impl<T> Queue<T> {
         self.fault = Some(plan);
     }
 
-    /// Detaches any fault plan (recovery masking: a retry after rollback
-    /// can re-run the same window fault-free).
-    pub fn clear_fault(&mut self) {
-        self.fault = None;
-    }
-
     /// Attempts to enqueue; returns `Err(value)` when full (or when an
     /// attached fault plan stalls the handshake this cycle).
     pub fn push(&mut self, value: T) -> Result<(), T> {

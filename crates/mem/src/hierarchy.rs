@@ -667,18 +667,6 @@ impl MemHierarchy {
         }
     }
 
-    /// Detaches every fault plan above the L1s (recovery masking: a retry
-    /// after rollback re-runs the remaining window fault-free).
-    pub fn clear_faults(&mut self) {
-        self.dram.clear_fault();
-        for l2 in &mut self.l2 {
-            l2.cache.clear_fault();
-        }
-        if let Some(l3) = &mut self.l3 {
-            l3.cache.clear_fault();
-        }
-    }
-
     /// Decisions drawn across every fault plan attached above the L1s
     /// (DRAM + shared cache levels) — input to the per-site determinism
     /// audit: equal totals at equal simulation points mean the shared

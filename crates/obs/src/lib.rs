@@ -34,7 +34,6 @@
 pub mod json;
 pub mod perfetto;
 pub mod profile;
-pub mod recovery;
 pub mod stats;
 
 pub use json::Value;
@@ -43,5 +42,4 @@ pub use profile::{
     parse_profile, render_annotated, render_folded, render_profile_json, render_report, Symbols,
     PROFILE_SCHEMA,
 };
-pub use recovery::{RecoveryAttempt, RecoveryReport};
-pub use stats::{render_stats, render_stats_with_recovery, render_sweep, STATS_SCHEMA};
+pub use stats::{render_stats, render_sweep, STATS_SCHEMA};

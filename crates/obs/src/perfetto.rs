@@ -212,26 +212,6 @@ impl Timeline {
         }
     }
 
-    /// Adds the checkpoint-rollback recovery account: one global instant
-    /// per attempt at its failure cycle (carrying the rollback target and
-    /// whether fault injection was masked for the retry), so recovered
-    /// runs show their rollbacks right on the timeline.
-    pub fn add_recovery_report(&mut self, report: &crate::recovery::RecoveryReport) {
-        for a in &report.attempts {
-            self.events.push(format!(
-                "{{\"name\": {}, \"ph\": \"i\", \"ts\": {}, \"pid\": 0, \"tid\": 0, \
-                 \"s\": \"g\", \"args\": {{\"attempt\": {}, \"restored_cycle\": {}, \
-                 \"cause\": {}, \"faults_masked\": {}}}}}",
-                quote(&format!("recovery: rollback to cycle {}", a.restored_cycle)),
-                a.failure_cycle,
-                a.attempt,
-                a.restored_cycle,
-                quote(&a.cause),
-                a.faults_masked
-            ));
-        }
-    }
-
     /// Renders the complete document (JSON Object Format, so metadata can
     /// declare the cycle→µs time mapping).
     pub fn render(&self) -> String {

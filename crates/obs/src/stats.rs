@@ -122,20 +122,6 @@ fn timeseries_json(ts: &TimeSeries) -> String {
 /// benchmark name); `series` is the sampled time series when telemetry
 /// was enabled.
 pub fn render_stats(label: &str, stats: &GpuStats, series: Option<&TimeSeries>) -> String {
-    render_stats_with_recovery(label, stats, series, None)
-}
-
-/// [`render_stats`] plus the checkpoint-rollback [`RecoveryReport`], when
-/// the recovery policy ran. With `recovery` `None` (or an empty report)
-/// the output is byte-identical to [`render_stats`] — the `"recovery"`
-/// key appears only on runs that actually rolled back, so existing
-/// consumers of the schema are unaffected.
-pub fn render_stats_with_recovery(
-    label: &str,
-    stats: &GpuStats,
-    series: Option<&TimeSeries>,
-    recovery: Option<&crate::recovery::RecoveryReport>,
-) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": {},", quote(STATS_SCHEMA));
@@ -158,9 +144,6 @@ pub fn render_stats_with_recovery(
     let _ = writeln!(out, "  \"icache\": {},", cache_json(&stats.merged_icache()));
     let _ = writeln!(out, "  \"dcache\": {},", cache_json(&stats.merged_dcache()));
     let _ = writeln!(out, "  \"tex\": {},", tex_json(&stats.merged_tex()));
-    if let Some(report) = recovery.filter(|r| !r.is_empty()) {
-        let _ = writeln!(out, "  \"recovery\": {},", report.to_json());
-    }
     out.push_str("  \"cores\": [\n");
     for (i, c) in stats.cores.iter().enumerate() {
         let comma = if i + 1 == stats.cores.len() { "" } else { "," };
