@@ -19,7 +19,7 @@
 //! Exit codes: 0 success, 1 io error, 2 usage error.
 
 use vortex_bench::registered_benches;
-use vortex_core::GpuConfig;
+use vortex_core::{GpuConfig, MAX_CORES};
 
 fn usage() -> ! {
     eprintln!(
@@ -87,10 +87,8 @@ fn main() {
             "--top" => top = positive(&mut it, "--top"),
             "--cores" => {
                 cores = positive(&mut it, "--cores");
-                // 16x the largest machine modelled; beyond it the core
-                // array alone exhausts host memory (an abort, not a report).
-                if cores > 1024 {
-                    eprintln!("vxprof: --cores must be in 1..=1024, got {cores}");
+                if cores > MAX_CORES {
+                    eprintln!("vxprof: --cores must be in 1..={MAX_CORES}, got {cores}");
                     usage();
                 }
             }

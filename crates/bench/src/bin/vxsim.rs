@@ -72,7 +72,7 @@
 
 use std::io::Write as _;
 use vortex_asm::parse_asm;
-use vortex_core::{CoreConfig, Gpu, GpuConfig, SimError};
+use vortex_core::{CoreConfig, Gpu, GpuConfig, SimError, MAX_CORES};
 use vortex_faults::FaultConfig;
 use vortex_obs::Timeline;
 use vortex_runtime::abi;
@@ -189,8 +189,7 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            // 16x the largest machine modelled (64 cores).
-            "--cores" => cores = at_most(&mut it, "--cores", 1024),
+            "--cores" => cores = at_most(&mut it, "--cores", MAX_CORES as u64),
             "--warps" => warps = at_most(&mut it, "--warps", 64),
             "--threads" => threads = at_most(&mut it, "--threads", 32),
             // A wavefront offers at most one request per lane, so ports

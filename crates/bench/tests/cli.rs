@@ -106,9 +106,12 @@ fn cli_rejects_bad_numeric_flags() {
         // Sizes that would overflow a capacity or exhaust host memory.
         ("vxsim", &["--ports", "33"], "--ports must be in 1..=32"),
         ("vxsim", &["--ports", "18446744073709551615"], "--ports must be in 1..=32"),
-        ("vxsim", &["--cores", "1025"], "--cores must be in 1..=1024"),
-        ("vxsim", &["--cores", "100000000"], "--cores must be in 1..=1024"),
-        ("vxprof", &["sgemm", "--fast", "--cores", "100000000"], "--cores must be in 1..=1024"),
+        ("vxsim", &["--cores", "1025"], "--cores must be in 1..=256"),
+        ("vxsim", &["--cores", "100000000"], "--cores must be in 1..=256"),
+        ("vxprof", &["sgemm", "--fast", "--cores", "100000000"], "--cores must be in 1..=256"),
+        // Beyond 256 cores a scratchpad window would alias the heap.
+        ("vxsim", &["--cores", "257"], "--cores must be in 1..=256"),
+        ("vxprof", &["sgemm", "--fast", "--cores", "257"], "--cores must be in 1..=256"),
         // An L3 no request can reach, clusters that share nothing.
         ("vxsim", &["--l3"], "--l3 has no effect without --l2"),
         ("vxsim", &["--cores", "4", "--clusters", "2"], "--clusters has no effect without --l2"),

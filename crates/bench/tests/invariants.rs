@@ -1042,6 +1042,58 @@ fn raster_quick_mc16() {
     bench_column(Box::new(RasterBench::quick()), GpuConfig::with_cores(16), &[], Some(226_212));
 }
 
+/// Cycle at which [`reduce_snapshot_bytes_are_pinned`] pauses its run.
+const REDUCE_PAUSE: u64 = 3_000;
+
+/// The `.vxsnap` bytes themselves are pinned across versions, not only
+/// compared within one build: a 16-core shared-memory reduction paused
+/// mid-kernel, whose memory image spans the heap, the stacks, the argument
+/// block, the code and the scratchpads (core 15's in the top 4 MiB).
+#[test]
+fn reduce_snapshot_bytes_are_pinned() {
+    use vortex_core::{smem_phys, SMEM_BASE};
+    use vortex_runtime::{ArgWriter, Device, RuntimeError};
+    let n = 4096u32;
+    let mut dev = Device::new(GpuConfig::with_cores(16));
+    let data: Vec<u8> = (0..n).flat_map(|i| (i * 37 % 1000).to_le_bytes()).collect();
+    let input = dev.alloc(4 * n).expect("alloc in");
+    dev.upload(input, &data).expect("upload");
+    let out = dev.alloc(4 * 16).expect("alloc out");
+    let mut args = ArgWriter::new();
+    args.word(input.addr).word(out.addr).word(n).word(0);
+    dev.write_args(&args);
+    let program = vortex_kernels::reduce::program(true);
+    dev.load_program(&program);
+    dev.max_cycles = REDUCE_PAUSE;
+    match dev.run_kernel(program.entry) {
+        Err(RuntimeError::Timeout { .. }) => {}
+        other => panic!("expected a pause mid-kernel, got {other:?}"),
+    }
+    let bytes = dev.save_snapshot();
+
+    // The Ram image closes the GPU payload: a count, then 4 KiB pages
+    // tagged with their index, followed by the GPU's and the device's CRCs.
+    let pages = dev.gpu().ram.resident_pages();
+    let start = bytes.len() - 8 - 8 - pages * (4 + 4096);
+    assert_eq!(bytes[start..start + 8], (pages as u64).to_le_bytes(), "page count anchor");
+    let index = |k: usize| {
+        let at = start + 8 + k * (4 + 4096);
+        u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    };
+    let mut regions: Vec<u32> = (0..pages).map(|k| index(k) >> 10).collect();
+    regions.dedup();
+    assert!(regions.len() >= 4, "pages in only {} 4 MiB regions", regions.len());
+    let top = smem_phys(SMEM_BASE, 15) >> 12;
+    assert!((0..pages).any(|k| index(k) == top), "core 15's scratchpad is resident");
+
+    // Recorded under the flat page directory that preceded the two-level
+    // `Ram` table: how `Ram` holds its pages must not move a byte.
+    assert_eq!(vortex_snapshot::fnv1a64(&bytes), 0x20cd_6c71_6634_a115, "snapshot bytes moved");
+    let mut resumed = Device::new(GpuConfig::with_cores(16));
+    resumed.restore_snapshot(&bytes).expect("own snapshot restores");
+    assert!(resumed.save_snapshot() == bytes, "re-saved snapshot differs");
+}
+
 /// The registered workloads at their fast sizes on 4 profiled cores, with
 /// the decode memo on (base) and off.
 fn registered() -> &'static [Column] {

@@ -10,6 +10,19 @@ use vortex_tex::TexUnitConfig;
 /// memory scratchpad instead of the global memory hierarchy.
 pub const SMEM_BASE: u32 = 0xFF00_0000;
 
+/// The most cores a [`Gpu`](crate::Gpu) may have: core 255's scratchpad
+/// window (see [`smem_phys`]) ends at `0x0F00_0000`, below the device heap.
+pub const MAX_CORES: usize = 256;
+
+/// Remaps a shared-memory address to its per-core backing region in the
+/// flat functional RAM (each core's scratchpad is private): core `c`'s
+/// window is the 1 MiB at `SMEM_BASE + (c << 20)`, wrapping at 2³², so
+/// cores 16 and up land at the bottom of the address space.
+pub fn smem_phys(addr: u32, core_id: usize) -> u32 {
+    debug_assert!(addr >= SMEM_BASE && core_id < MAX_CORES);
+    addr.wrapping_add((core_id as u32) << 20)
+}
+
 /// Functional-unit latencies (cycles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuLatencies {

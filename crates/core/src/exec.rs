@@ -7,7 +7,7 @@
 //! for the LSU, texture coordinates for the texture unit, and control
 //! effects (PC redirects, thread-mask changes, spawns, barriers, halts).
 
-use crate::config::SMEM_BASE;
+use crate::config::{smem_phys, SMEM_BASE};
 use crate::ipdom::{IpdomError, JoinOutcome, SplitOutcome};
 use crate::regfile::RegFile;
 use crate::scoreboard::RegId;
@@ -271,13 +271,6 @@ pub struct ExecEnv {
     pub cycle: u64,
     /// Retired instructions (for the `instret` CSR).
     pub instret: u64,
-}
-
-/// Remaps a shared-memory address to its per-core backing region in the
-/// flat functional RAM (each core's scratchpad is private).
-fn smem_phys(addr: u32, core_id: usize) -> u32 {
-    debug_assert!(addr >= SMEM_BASE);
-    addr.wrapping_add((core_id as u32) << 20)
 }
 
 fn ram_read(ram: &Ram, addr: u32, core_id: usize, width: LoadWidth) -> u32 {

@@ -24,7 +24,7 @@
 //! (`vortex_par::par_map`).
 
 use crate::barrier::{BarrierOutcome, BarrierTable};
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, MAX_CORES};
 use crate::core::Core;
 use crate::error::{HangReport, SimError};
 use crate::stats::GpuStats;
@@ -87,7 +87,16 @@ const FF_PROBE_BACKOFF: u64 = 3;
 
 impl Gpu {
     /// Builds a GPU from `config` with zeroed memory.
+    ///
+    /// # Panics
+    /// If `config.num_cores` exceeds [`MAX_CORES`]: beyond it a core's
+    /// scratchpad window would alias the device heap.
     pub fn new(config: GpuConfig) -> Self {
+        assert!(
+            config.num_cores <= MAX_CORES,
+            "{} cores exceed MAX_CORES ({MAX_CORES})",
+            config.num_cores
+        );
         let mut cores: Vec<Core> = (0..config.num_cores)
             .map(|id| Core::new(id, config.num_cores, config.core.clone()))
             .collect();
@@ -625,6 +634,12 @@ mod tests {
     use vortex_isa::Reg;
 
     const ENTRY: u32 = 0x8000_0000;
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_CORES")]
+    fn more_cores_than_scratchpad_windows_rejected() {
+        let _ = Gpu::new(GpuConfig::with_cores(MAX_CORES + 1));
+    }
 
     fn run_program(gpu: &mut Gpu, asm: &Assembler) -> GpuStats {
         let prog = asm.assemble(ENTRY).expect("assembles");

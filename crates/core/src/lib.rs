@@ -43,7 +43,7 @@ pub mod trace;
 pub mod warp;
 
 pub use crate::core::Core;
-pub use config::{CoreConfig, GpuConfig, SMEM_BASE};
+pub use config::{smem_phys, CoreConfig, GpuConfig, MAX_CORES, SMEM_BASE};
 pub use error::{CoreHangState, HangReport, SimError, WarpHangState};
 pub use gpu::Gpu;
 pub use profile::{CoreProfile, GpuProfile, PcStats};

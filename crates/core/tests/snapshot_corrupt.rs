@@ -204,3 +204,31 @@ fn nonzero_reserved_store_count_is_refused() {
         other => panic!("non-zero reserved field accepted: {other:?}"),
     }
 }
+
+#[test]
+fn out_of_order_ram_pages_are_refused() {
+    // Two resident pages, 1 and the code page 0x80000. The Ram image is
+    // the payload's last section: a count, then `(u32 index, 4 KiB)` pairs.
+    let (mut gpu, _) = paused_gpu();
+    gpu.ram.write_u8(0x1000, 1);
+    let snap = gpu.save_snapshot();
+    let start = snap.len() - 4 - 8 - 2 * (4 + 4096);
+    let second = start + 8 + 4 + 4096;
+    let anchor = [&2u64.to_le_bytes()[..], &1u32.to_le_bytes()].concat();
+    assert_eq!(snap[start..start + 12], anchor, "page count, then the first index");
+    assert_eq!(snap[second..second + 4], 0x80000u32.to_le_bytes(), "the code page");
+
+    // A duplicate index, then a descending one, each re-sealed so the
+    // refusal comes from the order check and not from the checksum.
+    for (at, idx) in [(second, 1u32), (start + 8, 0x80001)] {
+        let mut bad = snap.clone();
+        bad[at..at + 4].copy_from_slice(&idx.to_le_bytes());
+        reseal(&mut bad);
+        match fresh_gpu().restore_snapshot(&bad) {
+            Err(SimError::SnapshotCorrupt(reason)) => {
+                assert!(reason.contains("page order"), "diagnosis must name the order: {reason}");
+            }
+            other => panic!("page {idx:#x} out of order accepted: {other:?}"),
+        }
+    }
+}

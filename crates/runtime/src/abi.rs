@@ -4,6 +4,11 @@
 //! host serializes an argument block at [`ARG_BASE`]; kernels load fields
 //! from it at known offsets. Stacks grow down from [`STACK_TOP`], one
 //! [`STACK_SIZE`] slot per global hardware thread.
+//!
+//! The per-core shared-memory scratchpads are backed by the same functional
+//! RAM (see [`vortex_core::smem_phys`]): cores 0–15 use the top 16 MiB from
+//! `SMEM_BASE`, and cores 16–255 wrap around into `[0, HEAP_BASE)`, below
+//! the heap. More cores would reach it, hence `vortex_core::MAX_CORES`.
 
 /// Load address of kernel programs.
 pub const CODE_BASE: u32 = 0x8000_0000;
@@ -88,5 +93,24 @@ mod tests {
         // a heap; `Device::alloc` derives the real ceiling per device from
         // its thread count.
         assert!(512 * STACK_SIZE < STACK_TOP - HEAP_BASE);
+        // Every core's 1 MiB scratchpad window, placed by the real mapping,
+        // misses all of them.
+        use vortex_core::{smem_phys, MAX_CORES, SMEM_BASE};
+        let regions = [
+            ("heap", HEAP_BASE, STACK_TOP - 512 * STACK_SIZE),
+            ("stack", STACK_TOP - 512 * STACK_SIZE, STACK_TOP),
+            ("argument", ARG_BASE, CODE_BASE),
+            ("code", CODE_BASE, SMEM_BASE),
+        ];
+        for core in 0..MAX_CORES {
+            let lo = u64::from(smem_phys(SMEM_BASE, core));
+            let hi = lo + (1 << 20);
+            for (name, start, end) in regions {
+                assert!(
+                    hi <= u64::from(start) || lo >= u64::from(end),
+                    "core {core}'s scratchpad [{lo:#x}, {hi:#x}) overlaps the {name} region"
+                );
+            }
+        }
     }
 }
