@@ -5,14 +5,16 @@
 //! cargo run --release -p vortex-bench --bin vxsim -- kernel.s \
 //!     [--cores N] [--warps W] [--threads T] [--ports P] [--trace N] [--disasm] \
 //!     [--sample N] [--stats-json FILE] [--timeline FILE] [--trace-out FILE] \
-//!     [--inject seed=S,dram_drop=R,...] \
+//!     [--inject seed=S,dram_delay=R,...] \
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] \
 //!     [--no-fast-forward]
 //! ```
 //!
-//! `--inject` enables deterministic fault injection; the spec is a
-//! comma-separated `key=value` list (see `vortex_faults::FaultConfig::
-//! from_spec`). On a hang the watchdog's structured report is printed.
+//! `--inject` enables deterministic fault injection: handshake stalls and
+//! DRAM delays that slow the machine down but never change its results.
+//! The spec is a comma-separated `key=value` list (see
+//! `vortex_faults::FaultConfig::from_spec`). On a hang the watchdog's
+//! structured report is printed.
 //!
 //! Observability flags:
 //! * `--sample N` snapshots per-core counter deltas every N cycles into a
@@ -213,7 +215,7 @@ fn main() {
             "--no-fast-forward" => no_fast_forward = true,
             "--inject" => {
                 let spec = it.next().unwrap_or_else(|| {
-                    eprintln!("--inject needs a spec (e.g. seed=1,dram_drop=5)");
+                    eprintln!("--inject needs a spec (e.g. seed=1,dram_delay=300)");
                     usage()
                 });
                 faults = FaultConfig::from_spec(spec).unwrap_or_else(|e| {

@@ -119,10 +119,14 @@ fn cli_rejects_bad_numeric_flags() {
         ("vxsim", &["--sim-threads", "4"], "usage: vxsim"),
         // Removed with the rollback-and-retry policy: unknown flag.
         ("vxsim", &["--resume-retry", "4"], "usage: vxsim"),
-        // A matrix with no seeds would report every mode `ok` having run
-        // nothing.
-        ("fault_matrix", &["--seeds", "0"], "--seeds"),
-        ("fault_matrix", &["--seeds", "many"], "--seeds"),
+        // Removed fault classes (they could only hang, or no workload
+        // reached their site): unknown keys.
+        ("vxsim", &["--inject", "dram_drop=5"], "fault key `dram_drop`"),
+        ("vxsim", &["--inject", "corrupt=5"], "fault key `corrupt`"),
+        ("vxsim", &["--inject", "tex_stall=5"], "fault key `tex_stall`"),
+        ("vxsim", &["--inject", "cache_rsp_stall=5"], "fault key `cache_rsp_stall`"),
+        // A stall that fires every cycle never lets a handshake complete.
+        ("vxsim", &["--inject", "elastic_stall=1000"], "`elastic_stall` exceeds 999"),
     ];
     for &(bin, bad, expect) in rows {
         let mut cmd = match bin {
@@ -131,8 +135,7 @@ fn cli_rejects_bad_numeric_flags() {
                 cmd.arg("/nonexistent.s");
                 cmd
             }
-            "vxprof" => Command::new(env!("CARGO_BIN_EXE_vxprof")),
-            _ => Command::new(env!("CARGO_BIN_EXE_fault_matrix")),
+            _ => Command::new(env!("CARGO_BIN_EXE_vxprof")),
         };
         let out = cmd.args(bad).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{bin} {bad:?} must exit 2 (usage)");

@@ -45,9 +45,9 @@ const INTERVAL: u64 = 32;
 const TRACE_DEPTH: usize = 256;
 /// Pause points of the [`Drive::Paused`] rows, inside the DRAM-bound phase.
 const PAUSES: [u64; 3] = [100, 400, 1_500];
-/// A benign fault plan: stalls and delays only (drops hang by design).
+/// A fault plan: handshake stalls and DRAM delays.
 const FAULTS: &str = "seed=77,elastic_stall=300,dram_stall=400,dram_delay=500,\
-                      dram_extra_latency=40,cache_rsp_stall=300";
+                      dram_extra_latency=40";
 
 // --- Digest, audits and the comparison rule ------------------------------
 

@@ -1002,7 +1002,7 @@ impl Core {
             return (u64::MAX, None);
         }
         // Any fault plan attached to this core draws at fixed per-tick
-        // sites (cache offers, texture tick) — skipping would desync the
+        // sites (the cache offers) — skipping would desync the
         // audited decision streams, so faulted cores never fast-forward.
         if self.has_faults
             || !self.global_barrier_out.is_empty()
@@ -1114,13 +1114,13 @@ impl Core {
         self.cycle += delta;
     }
 
-    /// Decisions drawn across this core's fault plans (I-cache, D-cache,
-    /// texture unit); 0 when no faults are attached. Part of the per-site
+    /// Decisions drawn across this core's fault plans (I-cache and
+    /// D-cache); 0 when no faults are attached. Part of the per-site
     /// determinism audit: every per-core plan is ticked only inside
     /// [`Core::tick`], so equal draw totals across fast-forward and
     /// resume variants prove the streams stayed per-site deterministic.
     pub fn fault_draws(&self) -> u64 {
-        self.icache.fault_draws() + self.dcache.fault_draws() + self.tex_unit.fault_draws()
+        self.icache.fault_draws() + self.dcache.fault_draws()
     }
 
     /// Wavefront-instructions issued so far — the incrementally maintained
@@ -1173,8 +1173,8 @@ impl Core {
         self.decode_memo.as_ref().map_or((0, 0), DecodeCache::stats)
     }
 
-    /// Attaches deterministic fault plans to this core's components
-    /// (I-cache, D-cache, texture unit), each seeded from its own site id
+    /// Attaches deterministic fault plans to this core's caches (I-cache
+    /// and D-cache), each seeded from its own site id
     /// so per-component decision streams are independent.
     pub fn apply_faults(&mut self, faults: &FaultConfig) {
         if faults.is_noop() {
@@ -1187,7 +1187,6 @@ impl Core {
         self.has_faults = true;
         self.icache.set_fault(faults.plan(site::icache(self.id)));
         self.dcache.set_fault(faults.plan(site::dcache(self.id)));
-        self.tex_unit.set_fault(faults.plan(site::tex(self.id)));
     }
 
     /// Monotone progress counter: strictly increases whenever the core

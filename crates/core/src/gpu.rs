@@ -274,8 +274,7 @@ impl Gpu {
         let mut token = self
             .hierarchy
             .dram_reads()
-            .wrapping_add(self.hierarchy.dram_writes())
-            .wrapping_add(self.hierarchy.dram_dropped());
+            .wrapping_add(self.hierarchy.dram_writes());
         for core in &self.cores {
             token = token.wrapping_add(core.progress_token());
         }
@@ -292,8 +291,8 @@ impl Gpu {
         }
     }
 
-    /// Per-site fault-plan draw counts: one entry per core (its I-cache,
-    /// D-cache and texture plans summed) plus a final entry for the shared
+    /// Per-site fault-plan draw counts: one entry per core (its I-cache
+    /// and D-cache plans summed) plus a final entry for the shared
     /// hierarchy (DRAM + L2s + L3). Equal vectors at equal simulation
     /// points across fast-forward, checkpoint and resume variants audit
     /// that fault decision streams are consumed deterministically.
@@ -893,24 +892,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dropped_dram_responses_hang_and_name_the_stuck_warp() {
-        // Drop every DRAM read response: the very first fetch strands an
-        // MSHR entry forever and nothing can retire. The watchdog must
-        // abort with a report naming the stuck core and its occupancies.
-        let mut config = GpuConfig::with_cores(1);
-        config.watchdog_cycles = 2_000;
-        let mut gpu = Gpu::new(config);
-        gpu.apply_faults(&FaultConfig {
-            seed: 3,
-            dram_drop: 1000,
-            ..FaultConfig::off()
-        });
+    /// One wavefront at a barrier sized for two: nothing can ever release
+    /// it. A dependent load first gives the memory system (and a fault
+    /// plan) work that the warp waits on.
+    fn barrier_hang_program() -> vortex_asm::Program {
         let mut a = Assembler::new();
         a.li(Reg::X5, 0x2000);
         a.lw(Reg::X6, Reg::X5, 0);
+        a.add(Reg::X7, Reg::X6, Reg::X0);
+        a.li(Reg::X8, 2);
+        a.bar(Reg::X7, Reg::X8);
         a.ecall();
-        let prog = a.assemble(ENTRY).unwrap();
+        a.assemble(ENTRY).unwrap()
+    }
+
+    #[test]
+    fn barrier_hang_names_the_stuck_warp() {
+        // The watchdog must abort with a report naming the stuck core,
+        // its warp and its occupancies.
+        let mut config = GpuConfig::with_cores(1);
+        config.watchdog_cycles = 2_000;
+        let mut gpu = Gpu::new(config);
+        let prog = barrier_hang_program();
         gpu.ram.write_bytes(prog.base, &prog.to_bytes());
         gpu.launch(prog.entry);
         match gpu.run(100_000) {
@@ -928,27 +931,28 @@ mod tests {
 
     #[test]
     fn identical_fault_seeds_give_identical_hang_reports() {
-        let run_once = || {
+        // The delay plan decides when the load returns, so the stall
+        // counters at the hang depend on the seed; the same seed must
+        // reproduce the report and the counters exactly.
+        let run_once = |seed| {
             let mut config = GpuConfig::with_cores(1);
             config.watchdog_cycles = 1_000;
             let mut gpu = Gpu::new(config);
             gpu.apply_faults(&FaultConfig {
-                seed: 99,
-                dram_drop: 600,
-                dram_delay: 200,
+                seed,
+                dram_delay: 500,
                 dram_extra_latency: 40,
                 ..FaultConfig::off()
             });
-            let mut a = Assembler::new();
-            a.li(Reg::X5, 0x2000);
-            a.lw(Reg::X6, Reg::X5, 0);
-            a.ecall();
-            let prog = a.assemble(ENTRY).unwrap();
+            let prog = barrier_hang_program();
             gpu.ram.write_bytes(prog.base, &prog.to_bytes());
             gpu.launch(prog.entry);
-            gpu.run(50_000)
+            (gpu.run(50_000), gpu.stats())
         };
-        assert_eq!(run_once(), run_once());
+        let first = run_once(99);
+        assert!(matches!(first.0, Err(SimError::Hang(_))), "{:?}", first.0);
+        assert_eq!(first, run_once(99));
+        assert_ne!(run_once(0).1, first.1, "the seed moves the stall counters");
     }
 
     #[test]

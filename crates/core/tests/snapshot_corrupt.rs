@@ -7,6 +7,7 @@
 //! a differently-configured machine.
 
 use vortex_core::{Gpu, GpuConfig, SimError};
+use vortex_faults::FaultConfig;
 use vortex_isa::{encode, Instr, Reg};
 
 const ENTRY: u32 = 0x8000_0000;
@@ -14,7 +15,13 @@ const ENTRY: u32 = 0x8000_0000;
 /// A tiny machine paused mid-kernel, plus its snapshot: the restore
 /// target for every corruption below.
 fn paused_gpu() -> (Gpu, Vec<u8>) {
+    paused_gpu_under(&FaultConfig::off())
+}
+
+/// [`paused_gpu`] with `faults` applied at boot.
+fn paused_gpu_under(faults: &FaultConfig) -> (Gpu, Vec<u8>) {
     let mut gpu = Gpu::new(GpuConfig::with_cores(1));
+    gpu.apply_faults(faults);
     // A four-instruction countdown loop, hand-encoded so this test does
     // not need the assembler: li t0, 64; loop: addi t0, t0, -1;
     // bnez t0, loop; ecall.
@@ -202,6 +209,46 @@ fn nonzero_reserved_store_count_is_refused() {
             assert!(reason.contains("reserved"), "diagnosis must name the field: {reason}");
         }
         other => panic!("non-zero reserved field accepted: {other:?}"),
+    }
+}
+
+#[test]
+fn nonzero_retired_fault_field_is_refused() {
+    use vortex_snapshot::{Snap, Writer};
+    let faults = FaultConfig {
+        seed: 0x5EED_C0DE_F417_0001,
+        elastic_stall: 100,
+        dram_stall: 0,
+        dram_delay: 200,
+        dram_extra_latency: 24,
+    };
+    let (_, snap) = paused_gpu_under(&faults);
+    // Every attached plan embeds the configuration: the five kept values,
+    // then the four retired rates as reserved zero `u16`s.
+    let mut w = Writer::new();
+    faults.save(&mut w);
+    let encoded = w.into_bytes();
+    let (kept, reserved) = encoded.split_at(encoded.len() - 8);
+    assert_eq!(reserved, [0; 8], "retired rates encode as zero");
+    let at = snap
+        .windows(encoded.len())
+        .position(|window| window == encoded)
+        .expect("the snapshot carries the fault configuration")
+        + kept.len();
+
+    // Re-sealed, so the refusal comes from the field check and not from
+    // the checksum.
+    let mut bad = snap.clone();
+    bad[at] = 1;
+    reseal(&mut bad);
+    match fresh_gpu().restore_snapshot(&bad) {
+        Err(SimError::SnapshotCorrupt(reason)) => {
+            assert!(
+                reason.contains("reserved fault rate"),
+                "diagnosis must name the field: {reason}"
+            );
+        }
+        other => panic!("non-zero retired fault rate accepted: {other:?}"),
     }
 }
 

@@ -90,11 +90,11 @@ fn boot(case: &Case) -> Gpu {
     let prog = kernel(case.iters);
     let mut gpu = Gpu::new(make_config(case));
     if let Some(seed) = case.fault_seed {
-        // Benign classes only: these reshape timing without ever wedging
-        // the machine, so every random case is guaranteed to complete.
+        // Fault classes reshape timing without ever wedging the machine,
+        // so every random case is guaranteed to complete.
         let spec = format!(
             "seed={seed},elastic_stall=200,dram_stall=300,dram_delay=300,\
-             dram_extra_latency=24,cache_rsp_stall=200"
+             dram_extra_latency=24"
         );
         gpu.apply_faults(&FaultConfig::from_spec(&spec).expect("valid spec"));
     }

@@ -1,15 +1,15 @@
 //! Deterministic, seed-driven fault injection for the Vortex simulator.
 //!
-//! The paper's SIMX driver exists to explore configurations the FPGA cannot
-//! hold (§4.5), which means the simulator has to *diagnose* pathological
-//! behaviour — MSHR-full deadlock, elastic-handshake livelock, dropped
-//! responses — rather than fall over. This crate provides the stimulus side
-//! of that story: a [`FaultConfig`] describes *what* to inject (stall /
-//! delay / drop / corrupt probabilities per subsystem) and [`FaultPlan`]
-//! is a per-site deterministic stream of injection decisions derived from
-//! `(seed, site id)`. Two runs with the same seed and configuration make
-//! byte-identical decisions, so every failure found under injection is
-//! replayable.
+//! The paper's memory system is a chain of elastic handshakes (§4.3):
+//! every level may de-assert `ready` and every DRAM access may take
+//! longer than its nominal latency, and the result must not change. This
+//! crate provides the stimulus for that property: a [`FaultConfig`]
+//! describes *what* to perturb (stall / delay probabilities per
+//! subsystem) and [`FaultPlan`] is a per-site deterministic stream of
+//! injection decisions derived from `(seed, site id)`. Every class only
+//! slows the machine down, and two runs with the same seed and
+//! configuration make byte-identical decisions, so every divergence found
+//! under injection is replayable.
 //!
 //! Components store an `Option<FaultPlan>` that defaults to `None`; the
 //! disabled hot path costs a single branch.
@@ -17,14 +17,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-use vortex_snapshot::{Reader, Snap, SnapResult, Writer};
+use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
 /// Probabilities are expressed in 1/1000 units (per-mille) so light fault
 /// rates like 0.5% are representable.
 pub const SCALE: u16 = 1000;
 
-/// What to inject, and how often. All rates are per-mille (`0..=1000`).
+/// What to inject, and how often. Rates are per-mille.
 ///
 /// The default ([`FaultConfig::off`]) injects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,14 +38,6 @@ pub struct FaultConfig {
     pub dram_delay: u16,
     /// Extra cycles added to a delayed DRAM response.
     pub dram_extra_latency: u32,
-    /// Chance a DRAM read response is dropped outright (guaranteed hang).
-    pub dram_drop: u16,
-    /// Chance a cache holds a ready response back for a cycle.
-    pub cache_rsp_stall: u16,
-    /// Chance a single bit of a response word is flipped.
-    pub corrupt: u16,
-    /// Chance the texture sampler pipeline stalls for a cycle.
-    pub tex_stall: u16,
 }
 
 impl FaultConfig {
@@ -57,13 +48,7 @@ impl FaultConfig {
 
     /// True when no fault class has a non-zero rate.
     pub fn is_noop(&self) -> bool {
-        self.elastic_stall == 0
-            && self.dram_stall == 0
-            && self.dram_delay == 0
-            && self.dram_drop == 0
-            && self.cache_rsp_stall == 0
-            && self.corrupt == 0
-            && self.tex_stall == 0
+        self.elastic_stall == 0 && self.dram_stall == 0 && self.dram_delay == 0
     }
 
     /// Derives the decision stream for one injection site. Distinct sites
@@ -79,9 +64,10 @@ impl FaultConfig {
     /// Parses a `key=value` comma list, e.g.
     /// `seed=7,dram_delay=50,dram_extra_latency=200,elastic_stall=20`.
     ///
-    /// Keys: `seed`, `elastic_stall`, `dram_stall`, `dram_delay`,
-    /// `dram_extra_latency`, `dram_drop`, `cache_rsp_stall`, `corrupt`,
-    /// `tex_stall`. Rates are per-mille (`0..=1000`).
+    /// Keys: `seed`, `elastic_stall`, `dram_stall` (per-mille,
+    /// `0..=999`: a handshake refused every cycle never completes),
+    /// `dram_delay` (per-mille, `0..=1000`: a delay always ends) and
+    /// `dram_extra_latency` (cycles, default 64).
     ///
     /// # Errors
     /// Returns a message naming the offending key or value.
@@ -95,10 +81,14 @@ impl FaultConfig {
                 .ok_or_else(|| format!("expected key=value, got `{part}`"))?;
             let key = key.trim();
             let value = value.trim();
-            let rate = |v: &str| -> Result<u16, String> {
-                let n: u16 = v.parse().map_err(|_| format!("bad rate `{v}` for `{key}`"))?;
-                if n > SCALE {
-                    return Err(format!("rate `{v}` for `{key}` exceeds {SCALE} (per-mille)"));
+            let rate = |max: u16| -> Result<u16, String> {
+                let n: u16 = value
+                    .parse()
+                    .map_err(|_| format!("bad rate `{value}` for `{key}`"))?;
+                if n > max {
+                    return Err(format!(
+                        "rate `{value}` for `{key}` exceeds {max} (per-mille)"
+                    ));
                 }
                 Ok(n)
             };
@@ -106,48 +96,18 @@ impl FaultConfig {
                 "seed" => {
                     cfg.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
                 }
-                "elastic_stall" => cfg.elastic_stall = rate(value)?,
-                "dram_stall" => cfg.dram_stall = rate(value)?,
-                "dram_delay" => cfg.dram_delay = rate(value)?,
+                "elastic_stall" => cfg.elastic_stall = rate(SCALE - 1)?,
+                "dram_stall" => cfg.dram_stall = rate(SCALE - 1)?,
+                "dram_delay" => cfg.dram_delay = rate(SCALE)?,
                 "dram_extra_latency" => {
                     cfg.dram_extra_latency = value
                         .parse()
                         .map_err(|_| format!("bad latency `{value}`"))?;
                 }
-                "dram_drop" => cfg.dram_drop = rate(value)?,
-                "cache_rsp_stall" => cfg.cache_rsp_stall = rate(value)?,
-                "corrupt" => cfg.corrupt = rate(value)?,
-                "tex_stall" => cfg.tex_stall = rate(value)?,
                 _ => return Err(format!("unknown fault key `{key}`")),
             }
         }
         Ok(cfg)
-    }
-
-    /// True when the configuration can only ever slow execution down
-    /// (stalls and delays), never change results or lose traffic. Fuzzing
-    /// uses this to decide whether to assert output correctness.
-    pub fn is_benign(&self) -> bool {
-        self.dram_drop == 0 && self.corrupt == 0
-    }
-}
-
-impl fmt::Display for FaultConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={} elastic_stall={} dram_stall={} dram_delay={} (+{} cyc) dram_drop={} \
-             cache_rsp_stall={} corrupt={} tex_stall={} (rates per-mille)",
-            self.seed,
-            self.elastic_stall,
-            self.dram_stall,
-            self.dram_delay,
-            self.dram_extra_latency,
-            self.dram_drop,
-            self.cache_rsp_stall,
-            self.corrupt,
-            self.tex_stall,
-        )
     }
 }
 
@@ -169,14 +129,6 @@ pub mod site {
     /// Per-core data cache.
     pub fn dcache(core: usize) -> u64 {
         0x2_0000 + core as u64
-    }
-    /// Per-core shared-memory bank array.
-    pub fn smem(core: usize) -> u64 {
-        0x3_0000 + core as u64
-    }
-    /// Per-core texture unit.
-    pub fn tex(core: usize) -> u64 {
-        0x4_0000 + core as u64
     }
 }
 
@@ -203,11 +155,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The configuration this plan was derived from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// How many decisions this plan has drawn. Because a plan's stream
     /// position fully determines every future decision, equal draw counts
     /// at equal simulation points are a sufficient audit that two runs
@@ -247,32 +194,12 @@ impl FaultPlan {
             0
         }
     }
-
-    /// Should one DRAM read response be dropped?
-    pub fn drop_dram_rsp(&mut self) -> bool {
-        self.fires(self.cfg.dram_drop)
-    }
-
-    /// Should the cache hold its ready response back this cycle?
-    pub fn stall_cache_rsp(&mut self) -> bool {
-        self.fires(self.cfg.cache_rsp_stall)
-    }
-
-    /// Should the texture sampler pipeline stall this cycle?
-    pub fn stall_tex(&mut self) -> bool {
-        self.fires(self.cfg.tex_stall)
-    }
-
-    /// Possibly flips one bit of `word`; returns true when it did.
-    pub fn corrupt(&mut self, word: &mut u32) -> bool {
-        if self.fires(self.cfg.corrupt) {
-            *word ^= 1 << (self.next() % 32);
-            true
-        } else {
-            false
-        }
-    }
 }
+
+/// Retired rates that keep their place in the encoding: `dram_drop`,
+/// `cache_rsp_stall`, `corrupt` and `tex_stall`, each a `u16` that must be
+/// zero.
+const RESERVED_RATES: usize = 4;
 
 impl Snap for FaultConfig {
     fn save(&self, w: &mut Writer) {
@@ -281,24 +208,25 @@ impl Snap for FaultConfig {
         w.u16(self.dram_stall);
         w.u16(self.dram_delay);
         w.u32(self.dram_extra_latency);
-        w.u16(self.dram_drop);
-        w.u16(self.cache_rsp_stall);
-        w.u16(self.corrupt);
-        w.u16(self.tex_stall);
+        for _ in 0..RESERVED_RATES {
+            w.u16(0);
+        }
     }
 
     fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
+        let cfg = Self {
             seed: r.u64()?,
             elastic_stall: r.u16()?,
             dram_stall: r.u16()?,
             dram_delay: r.u16()?,
             dram_extra_latency: r.u32()?,
-            dram_drop: r.u16()?,
-            cache_rsp_stall: r.u16()?,
-            corrupt: r.u16()?,
-            tex_stall: r.u16()?,
-        })
+        };
+        for _ in 0..RESERVED_RATES {
+            if r.u16()? != 0 {
+                return Err(SnapError::BadValue("reserved fault rate"));
+            }
+        }
+        Ok(cfg)
     }
 }
 
@@ -334,13 +262,8 @@ mod tests {
             assert!(!p.stall_elastic());
             assert!(!p.stall_dram());
             assert_eq!(p.dram_delay(), 0);
-            assert!(!p.drop_dram_rsp());
-            assert!(!p.stall_cache_rsp());
-            assert!(!p.stall_tex());
-            let mut w = 0xDEAD_BEEF;
-            assert!(!p.corrupt(&mut w));
-            assert_eq!(w, 0xDEAD_BEEF);
         }
+        assert_eq!(p.draws(), 0, "zero rates never draw");
     }
 
     #[test]
@@ -383,15 +306,30 @@ mod tests {
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.dram_delay, 50);
         assert_eq!(cfg.dram_extra_latency, 200);
-        assert!(cfg.is_benign());
         assert!(FaultConfig::from_spec("bogus=1").is_err());
-        assert!(FaultConfig::from_spec("dram_drop=2000").is_err());
-        assert!(!FaultConfig::from_spec("dram_drop=5").unwrap().is_benign());
+        assert!(FaultConfig::from_spec("dram_delay=2000").is_err());
+        // A stall that always fires would refuse every handshake forever;
+        // a delay that always fires still ends.
+        for key in ["elastic_stall", "dram_stall"] {
+            assert_eq!(
+                FaultConfig::from_spec(&format!("{key}=999")).map(|c| c.is_noop()),
+                Ok(false)
+            );
+            let err = FaultConfig::from_spec(&format!("{key}=1000")).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
+        let always = FaultConfig::from_spec("dram_delay=1000").unwrap();
+        assert_eq!(always.dram_delay, 1000);
     }
 
     #[test]
     fn plan_snapshot_resumes_mid_stream() {
-        let cfg = FaultConfig { seed: 42, elastic_stall: 500, corrupt: 100, ..FaultConfig::off() };
+        let cfg = FaultConfig {
+            seed: 42,
+            elastic_stall: 500,
+            dram_delay: 100,
+            ..FaultConfig::off()
+        };
         let mut a = cfg.plan(site::dcache(3));
         for _ in 0..1000 {
             a.stall_elastic();
@@ -406,21 +344,8 @@ mod tests {
         // The restored stream continues in lock-step with the original.
         for _ in 0..1000 {
             assert_eq!(a.stall_elastic(), b.stall_elastic());
-            let (mut wa, mut wb) = (7u32, 7u32);
-            assert_eq!(a.corrupt(&mut wa), b.corrupt(&mut wb));
-            assert_eq!(wa, wb);
+            assert_eq!(a.dram_delay(), b.dram_delay());
         }
         assert_eq!(a.draws(), b.draws());
-    }
-
-    #[test]
-    fn corrupt_flips_exactly_one_bit() {
-        let cfg = FaultConfig { seed: 5, corrupt: SCALE, ..FaultConfig::off() };
-        let mut p = cfg.plan(site::DRAM);
-        for _ in 0..256 {
-            let mut w = 0u32;
-            assert!(p.corrupt(&mut w));
-            assert_eq!(w.count_ones(), 1);
-        }
     }
 }

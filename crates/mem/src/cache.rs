@@ -552,9 +552,7 @@ impl Cache {
     }
 
     /// Attaches a fault plan: the request interface may spuriously refuse a
-    /// whole cycle's offers (`elastic_stall`), ready responses may be held
-    /// back (`cache_rsp_stall`), and incoming fill tags may be corrupted
-    /// (`corrupt` — which strands the real line's MSHR entry, a hang).
+    /// whole cycle's offers (`elastic_stall`).
     pub fn set_fault(&mut self, plan: FaultPlan) {
         self.fault = Some(plan);
     }
@@ -888,15 +886,9 @@ impl Cache {
         }
     }
 
-    /// Pops one coalesced core response. An attached fault plan may hold a
-    /// ready response back (`cache_rsp_stall`); it stays queued for a retry.
+    /// Pops one coalesced core response.
     #[inline]
     pub fn pop_rsp(&mut self) -> Option<MemRsp> {
-        if let Some(plan) = &mut self.fault {
-            if !self.responses.is_empty() && plan.stall_cache_rsp() {
-                return None;
-            }
-        }
         self.responses.pop_front()
     }
 
@@ -928,16 +920,10 @@ impl Cache {
         self.memq.drain_front(n)
     }
 
-    /// Delivers a memory fill response (tag = line address). An attached
-    /// fault plan may corrupt the fill tag, filling the wrong line and
-    /// stranding the requests parked on the real one — the MSHR-starvation
-    /// hang the watchdog exists to diagnose.
+    /// Delivers a memory fill response (tag = line address).
     #[inline]
     pub fn push_mem_rsp(&mut self, rsp: MemRsp) {
-        let mut line = rsp.tag as u32;
-        if let Some(plan) = &mut self.fault {
-            plan.corrupt(&mut line);
-        }
+        let line = rsp.tag as u32;
         let bank = self.bank_of(line);
         self.banks[bank].fills.push_back(line);
     }

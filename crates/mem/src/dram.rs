@@ -48,8 +48,6 @@ pub struct Dram {
     pub total_reads: u64,
     /// Total writes serviced.
     pub total_writes: u64,
-    /// Read responses deliberately dropped by fault injection.
-    pub dropped_rsps: u64,
 }
 
 impl Dram {
@@ -64,15 +62,13 @@ impl Dram {
             fault: None,
             total_reads: 0,
             total_writes: 0,
-            dropped_rsps: 0,
         }
     }
 
     /// Attaches a fault plan: the controller may skip servicing its input
-    /// queue (`dram_stall`), add latency to individual accesses
-    /// (`dram_delay`), or drop read responses outright (`dram_drop`). The
-    /// input queue's elastic handshake also stalls at the plan's
-    /// `elastic_stall` rate.
+    /// queue (`dram_stall`) or add latency to individual accesses
+    /// (`dram_delay`). The input queue's elastic handshake also stalls at
+    /// the plan's `elastic_stall` rate.
     pub fn set_fault(&mut self, plan: FaultPlan) {
         self.input.set_fault(plan.clone());
         self.fault = Some(plan);
@@ -142,15 +138,7 @@ impl Dram {
             }
             self.in_flight.pop_front();
             if !req.write {
-                let dropped = match &mut self.fault {
-                    Some(plan) => plan.drop_dram_rsp(),
-                    None => false,
-                };
-                if dropped {
-                    self.dropped_rsps += 1;
-                } else {
-                    self.responses.push_back(MemRsp { tag: req.tag });
-                }
+                self.responses.push_back(MemRsp { tag: req.tag });
             }
         }
     }
@@ -219,7 +207,8 @@ impl Dram {
         self.fault.save(w);
         w.u64(self.total_reads);
         w.u64(self.total_writes);
-        w.u64(self.dropped_rsps);
+        // Reserved: the retired dropped-response count, always zero.
+        w.u64(0);
     }
 
     /// Restores the controller in place.
@@ -235,7 +224,11 @@ impl Dram {
         self.fault = Option::load(r)?;
         self.total_reads = r.u64()?;
         self.total_writes = r.u64()?;
-        self.dropped_rsps = r.u64()?;
+        if r.u64()? != 0 {
+            return Err(vortex_snapshot::SnapError::BadValue(
+                "reserved dram drop count",
+            ));
+        }
         Ok(())
     }
 }

@@ -105,9 +105,9 @@ struct TagTable {
     live: usize,
     /// Most slots ever simultaneously live (host diagnostic, not state).
     high_water: usize,
-    /// Times the table grew past its reservation. Zero on fault-free runs;
-    /// dropped DRAM responses (fault injection) strand slots by design and
-    /// may force growth.
+    /// Times the table grew past its reservation. Every tag is released
+    /// when its response returns, so the allocation audit holds this at
+    /// zero; growth is a safety valve, not a steady state.
     grows: u64,
 }
 
@@ -628,18 +628,13 @@ impl MemHierarchy {
         self.dram.total_writes
     }
 
-    /// Read responses dropped by fault injection.
-    pub fn dram_dropped(&self) -> u64 {
-        self.dram.dropped_rsps
-    }
-
     /// L2 statistics per cluster (empty when no L2 is configured).
     pub fn l2_stats(&self) -> Vec<crate::cache::CacheStats> {
         self.l2.iter().map(|l| l.cache.stats).collect()
     }
 
     /// Times any routing tag table grew past its reservation — the
-    /// allocation audit's headline number; zero on fault-free runs.
+    /// allocation audit's headline number.
     pub fn tag_grows(&self) -> u64 {
         self.dram_tags.grows
             + self.l2.iter().map(|l| l.tags.grows).sum::<u64>()
@@ -718,7 +713,6 @@ impl MemHierarchy {
             dram_input,
             dram_in_flight,
             dram_responses,
-            dram_dropped: self.dram.dropped_rsps,
             outstanding_tags: self.dram_tags.len(),
             l2: self.l2.iter().map(|l| l.cache.occupancy()).collect(),
             l3: self.l3.as_ref().map(|l| l.cache.occupancy()),
@@ -742,8 +736,6 @@ pub struct HierarchyOccupancy {
     pub dram_in_flight: usize,
     /// DRAM read responses not yet routed.
     pub dram_responses: usize,
-    /// Read responses dropped by fault injection (each one strands a tag).
-    pub dram_dropped: u64,
     /// Routing tags awaiting a response — reads the hierarchy still owes.
     pub outstanding_tags: usize,
     /// Per-cluster L2 occupancy (empty when no L2 is configured).
@@ -758,11 +750,10 @@ impl fmt::Display for HierarchyOccupancy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dram: input={} in-flight={} rsp={} dropped={} owed-tags={} core-rsp={}",
+            "dram: input={} in-flight={} rsp={} owed-tags={} core-rsp={}",
             self.dram_input,
             self.dram_in_flight,
             self.dram_responses,
-            self.dram_dropped,
             self.outstanding_tags,
             self.core_rsp_pending,
         )?;

@@ -195,7 +195,6 @@ proptest! {
             dram_stall: 200,
             dram_delay: 100,
             dram_extra_latency: 40,
-            ..FaultConfig::off()
         };
         for config in shapes(traces.len()) {
             for faults in [FaultConfig::off(), faulty] {

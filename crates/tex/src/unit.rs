@@ -18,10 +18,9 @@
 use crate::filter::{bilinear_footprint, sample_bilinear, sample_point};
 use crate::state::{FilterMode, TexState};
 use std::collections::VecDeque;
-use vortex_faults::FaultPlan;
 use vortex_mem::elastic::Queue;
 use vortex_mem::{MemReq, MemRsp, Ram, Tag};
-use vortex_snapshot::{Reader, Snap, SnapResult, Writer};
+use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
 /// Texture unit configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +197,6 @@ pub struct TexUnit {
     mem_out: VecDeque<MemReq>,
     /// Map of outstanding mem tags (all belong to `current`).
     outstanding_tags: Vec<Tag>,
-    fault: Option<FaultPlan>,
     /// Performance counters.
     pub stats: TexUnitStats,
 }
@@ -215,23 +213,8 @@ impl TexUnit {
             next_mem_tag: 0,
             mem_out: VecDeque::new(),
             outstanding_tags: Vec::new(),
-            fault: None,
             stats: TexUnitStats::default(),
         }
-    }
-
-    /// Attaches a fault plan: at the plan's `tex_stall` rate, a cycle's
-    /// sampler countdown and scheduler work are skipped entirely, delaying
-    /// (but never losing) responses. The input FIFO is *not* gated — issue
-    /// sites check fullness before pushing.
-    pub fn set_fault(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    /// Decisions drawn from the attached fault plan so far (0 when no plan
-    /// is attached) — input to the per-site determinism audit.
-    pub fn fault_draws(&self) -> u64 {
-        self.fault.as_ref().map_or(0, FaultPlan::draws)
     }
 
     /// `true` if a new `tex` instruction can be accepted this cycle.
@@ -331,14 +314,6 @@ impl TexUnit {
     /// Advances the unit one cycle.
     #[inline]
     pub fn tick(&mut self) {
-        if let Some(plan) = &mut self.fault {
-            if plan.stall_tex() {
-                // The whole unit freezes for this cycle: the sampler does
-                // not count down and the scheduler issues nothing. State is
-                // untouched, so the work completes later.
-                return;
-            }
-        }
         // Sampler pipeline ⑤: count down, emit responses.
         for entry in &mut self.sampler {
             entry.0 = entry.0.saturating_sub(1);
@@ -409,13 +384,12 @@ impl TexUnit {
     /// idle bump (counting a busy/idle cycle, decrementing sampler
     /// countdowns). `now` when the unit would issue texel fetches,
     /// complete a batch, pop a queued batch into the scheduler, or has
-    /// pending output / memory traffic / a fault plan (plans draw a
-    /// `tex_stall` decision every tick); otherwise the tick on which
+    /// pending output or memory traffic; otherwise the tick on which
     /// the sampler's front batch emerges; `u64::MAX` when nothing is
     /// scheduled (a batch parked on outstanding cache fills wakes via
     /// the data cache, which reports its own horizon).
     pub fn next_event_cycle(&self, now: u64) -> u64 {
-        if self.fault.is_some() || !self.mem_out.is_empty() || !self.output.is_empty() {
+        if !self.mem_out.is_empty() || !self.output.is_empty() {
             return now;
         }
         match &self.current {
@@ -469,7 +443,7 @@ impl TexUnit {
 
     /// Appends the whole pipeline: queued batches, the scheduler's current
     /// batch, sampler countdowns, outputs, outstanding texel tags, the tag
-    /// counter, the fault-plan position and counters.
+    /// counter and counters.
     pub fn save_state(&self, w: &mut Writer) {
         self.input.save_state(w);
         self.current.save(w);
@@ -478,7 +452,8 @@ impl TexUnit {
         w.u64(self.next_mem_tag);
         self.mem_out.save(w);
         self.outstanding_tags.save(w);
-        self.fault.save(w);
+        // Reserved: the retired fault plan, always the `None` tag.
+        w.u8(0);
         self.stats.save(w);
     }
 
@@ -491,7 +466,9 @@ impl TexUnit {
         self.next_mem_tag = r.u64()?;
         self.mem_out = VecDeque::load(r)?;
         self.outstanding_tags = Vec::load(r)?;
-        self.fault = Option::load(r)?;
+        if r.u8()? != 0 {
+            return Err(SnapError::BadValue("reserved texture fault plan"));
+        }
         self.stats = TexUnitStats::load(r)?;
         Ok(())
     }
@@ -623,33 +600,6 @@ mod tests {
         assert!(unit.issue(mk(0), &[state], &ram).is_ok());
         assert!(!unit.can_accept());
         assert!(unit.issue(mk(1), &[state], &ram).is_err());
-    }
-
-    #[test]
-    fn stall_fault_delays_but_never_loses_responses() {
-        let mut ram = Ram::new();
-        let state = solid_texture(&mut ram, Rgba8::WHITE);
-        let mut baseline = TexUnit::new(TexUnitConfig::default());
-        let mut faulty = TexUnit::new(TexUnitConfig::default());
-        faulty.set_fault(
-            vortex_faults::FaultConfig {
-                seed: 7,
-                tex_stall: 500,
-                ..vortex_faults::FaultConfig::off()
-            }
-            .plan(vortex_faults::site::tex(0)),
-        );
-        let req = || TexRequest {
-            tag: 3,
-            stage: 0,
-            lanes: vec![Some((0.4, 0.4, 0.0)); 4],
-        };
-        baseline.issue(req(), &[state], &ram).unwrap();
-        faulty.issue(req(), &[state], &ram).unwrap();
-        let fast = run(&mut baseline, 1000);
-        let slow = run(&mut faulty, 1000);
-        assert_eq!(fast, slow, "stalls must not change results");
-        assert!(faulty.is_idle(), "stalled unit still drains");
     }
 
     #[test]
