@@ -1115,6 +1115,31 @@ fn decode_memo_is_timing_invisible() {
     }
 }
 
+/// One decode memo per GPU: the registered sgemm kernel (fast size) on
+/// sixteen cores misses about as often as on one, where sixteen private
+/// tables would each pay the cold misses again (about 16x).
+#[test]
+fn sixteen_cores_share_one_decode_memo() {
+    use vortex_runtime::{ArgWriter, Device};
+    let misses = |cores| {
+        let n = 12u32;
+        let mut dev = Device::new(GpuConfig::with_cores(cores));
+        let bufs: Vec<_> = (0..3).map(|_| dev.alloc(n * n * 4).expect("alloc")).collect();
+        let mut args = ArgWriter::new();
+        args.word(bufs[0].addr).word(bufs[1].addr).word(bufs[2].addr).word(n);
+        dev.write_args(&args);
+        let prog = vortex_kernels::rodinia::sgemm::program();
+        dev.load_program(&prog);
+        dev.run_kernel(prog.entry).expect("sgemm finishes");
+        let (hits, misses) = dev.gpu().decode_memo_stats();
+        assert!(hits > misses, "{cores} cores: the memo must serve the loop");
+        misses
+    };
+    let (one, sixteen) = (misses(1), misses(16));
+    assert!(one > 20, "one core decodes the kernel text ({one} misses)");
+    assert!(sixteen <= 2 * one, "16 cores missed {sixteen} times, 1 core {one}");
+}
+
 /// Every instruction word the registered workloads execute resolves to the
 /// same slot (need mask, gate, fetch-blocking) through the decode memo — on
 /// a miss, on a hit, and after other words contended for its entry — as

@@ -165,8 +165,6 @@ pub struct Core {
     /// Scratch buffer for the (at most one per cycle) I-cache miss
     /// request, reused so the fetch stage never allocates.
     fetch_req: Vec<MemReq>,
-    /// Memoized decoder ([`None`] when `config.decode_cache` is off).
-    decode_memo: Option<DecodeCache>,
     /// Recycled writeback/lane-access buffers for the execute stage.
     exec_pool: ExecPool,
     issue_rr: usize,
@@ -257,7 +255,6 @@ impl Core {
             all_wavefronts: wavefront_mask(nw),
             fast_fetch: std::collections::VecDeque::new(),
             fetch_req: Vec::with_capacity(1),
-            decode_memo: config.decode_cache.then(DecodeCache::new),
             exec_pool: ExecPool::default(),
             issue_rr: 0,
             completions: Vec::new(),
@@ -716,15 +713,22 @@ impl Core {
     /// # Errors
     /// [`SimError::IllegalInstruction`] when the word does not decode —
     /// surfaced to the host instead of crashing the simulator.
-    fn decode_into_ibuffer(&mut self, wid: usize, pc: u32, ram: &Ram) -> Result<(), SimError> {
+    fn decode_into_ibuffer(
+        &mut self,
+        wid: usize,
+        pc: u32,
+        ram: &Ram,
+        memo: Option<&mut DecodeCache>,
+    ) -> Result<(), SimError> {
         if !self.wavefronts[wid].active {
             return Ok(()); // halted while the fetch was in flight
         }
         let word = ram.read_u32(pc);
         // Memoized decode. Keying by the *word just fetched* makes the memo
-        // self-invalidating under self-modifying code: a code write changes
-        // the lookup key, never the cached mapping.
-        let decoded = match self.decode_memo.as_mut() {
+        // self-invalidating under self-modifying code — this core's or any
+        // other's: a code write changes the lookup key, never the cached
+        // mapping, so one table serves every core of the GPU.
+        let decoded = match memo {
             Some(memo) => memo.decode(word),
             None => Slot::decode(word),
         };
@@ -752,10 +756,18 @@ impl Core {
     /// cycle — the caller ticks cores in ascending id order, which makes
     /// that a modelled rule rather than an accident (DESIGN §10).
     ///
+    /// `memo` is the GPU's one decode memo ([`None`] when
+    /// `CoreConfig::decode_cache` is off); every core consults the same
+    /// table, which is sound because it is keyed by the fetched word.
+    ///
     /// # Errors
     /// Propagates structured traps ([`SimError`]) from the issue and
     /// decode stages; the caller aborts the simulation and reports them.
-    pub fn tick(&mut self, ram: &mut Ram) -> Result<(), SimError> {
+    pub fn tick(
+        &mut self,
+        ram: &mut Ram,
+        mut memo: Option<&mut DecodeCache>,
+    ) -> Result<(), SimError> {
         if self.drained {
             // The full tick below is a no-op for a drained core except for
             // these two counters (issue finds every ibuffer empty; every
@@ -830,7 +842,7 @@ impl Core {
             self.fast_fetch.pop_front();
             if self.front.fetch_pending(wid) == Some(pc) {
                 self.front.take_fetch_pending(wid);
-                self.decode_into_ibuffer(wid, pc, ram)?;
+                self.decode_into_ibuffer(wid, pc, ram, memo.as_deref_mut())?;
             }
         }
         // I-cache miss responses → decode into the ibuffer.
@@ -839,7 +851,7 @@ impl Core {
             let Some(pc) = self.front.take_fetch_pending(wid) else {
                 continue;
             };
-            self.decode_into_ibuffer(wid, pc, ram)?;
+            self.decode_into_ibuffer(wid, pc, ram, memo.as_deref_mut())?;
         }
 
         // D-cache responses → LSU or texture unit.
@@ -1167,12 +1179,6 @@ impl Core {
         self.dcache.mshr_pending()
     }
 
-    /// Hit/miss counters of the decode memo (host-side diagnostics;
-    /// `(0, 0)` when the memo is disabled).
-    pub fn decode_memo_stats(&self) -> (u64, u64) {
-        self.decode_memo.as_ref().map_or((0, 0), DecodeCache::stats)
-    }
-
     /// Attaches deterministic fault plans to this core's caches (I-cache
     /// and D-cache), each seeded from its own site id
     /// so per-component decision streams are independent.
@@ -1291,8 +1297,8 @@ impl Core {
     /// Structural geometry (wavefront count, cache shapes, LSU depth) is
     /// construction state derived from the configuration and is *not*
     /// serialized — restore validates occupancies against it instead of
-    /// trusting the payload. Host-side scratch (decode memo, exec pool,
-    /// fetch-request buffer, trace) is behavior-invisible and skipped.
+    /// trusting the payload. Host-side scratch (exec pool, fetch-request
+    /// buffer, trace) is behavior-invisible and skipped.
     /// Decoded ibuffer instructions are stored as their 32-bit encodings
     /// and re-decoded on restore.
     pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {

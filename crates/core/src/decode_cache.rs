@@ -2,7 +2,7 @@
 //!
 //! Decode is a pure function of the 32-bit instruction word, and kernels
 //! re-fetch the same handful of words millions of times (every loop body,
-//! every wavefront). A small direct-mapped cache from word to resolved
+//! every wavefront). A small set-associative cache from word to resolved
 //! [`Slot`] (the decoded instruction plus its issue-time answers) lets the
 //! steady-state front end skip the decoder and the resolver entirely.
 //!
@@ -10,6 +10,13 @@
 //! *fetched from RAM this cycle* — not the PC — self-modifying code changes
 //! the lookup key itself, so a stale mapping can never be served. A cached
 //! entry only ever answers for the exact word it was built from.
+//!
+//! **One table per GPU.** Every core runs the same kernel text, so
+//! [`crate::gpu::Gpu`] owns a single memo and lends it to each core's
+//! tick. An entry is a pure function of its word, so which core filled it
+//! cannot matter, and a code write by one core changes the key every other
+//! core looks up. The footprint and the cold misses are paid once per
+//! simulation, not once per core.
 //!
 //! This is a host-throughput device only; it is architecturally invisible.
 //! Simulated timing, statistics and results are bit-identical with the
@@ -19,19 +26,25 @@
 use crate::frontend::Slot;
 use vortex_isa::DecodeError;
 
-/// Direct-mapped slots. Kernel text in the suite is a few hundred words;
-/// 2048 entries of 24 B are 48 KiB per core — with sixteen cores the memo
-/// is a visible share of the simulator's resident set, so it is sized to
-/// the text, not beyond it.
-const SLOTS: usize = 2048;
+/// Sets of the table. Kernel text in the suite is a few hundred words;
+/// 512 sets of [`WAYS`] entries of 24 B are 48 KiB, held once per GPU
+/// however many cores share it.
+const SETS: usize = 512;
 
-/// A direct-mapped word → [`Slot`] memo table.
+/// Entries per set. Words of one hot loop that share an entry evict each
+/// other on every iteration: direct-mapped, twelve colliding pairs in the
+/// raster kernel's 144 distinct words made nearly all of its misses, and
+/// two ways still left one set of three. Four ways leave none.
+const WAYS: usize = 4;
+
+/// A four-way set-associative word → [`Slot`] memo table.
 #[derive(Debug)]
 pub struct DecodeCache {
-    /// One resolved slot per entry, keyed by the instruction word kept in
-    /// its (otherwise meaningless here) `pc` field — a separate key would
-    /// pad every entry from 24 to 32 bytes. `None` until first filled.
-    slots: Box<[Option<Slot>]>,
+    /// Resolved slots, most recently filled way first, keyed by the
+    /// instruction word kept in their (otherwise meaningless here) `pc`
+    /// field — a separate key would pad every entry from 24 to 32 bytes.
+    /// `None` until first filled.
+    sets: Box<[[Option<Slot>; WAYS]]>,
     hits: u64,
     misses: u64,
 }
@@ -46,7 +59,7 @@ impl DecodeCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self {
-            slots: vec![None; SLOTS].into_boxed_slice(),
+            sets: vec![[None; WAYS]; SETS].into_boxed_slice(),
             hits: 0,
             misses: 0,
         }
@@ -56,7 +69,7 @@ impl DecodeCache {
     fn index(word: u32) -> usize {
         // Opcode bits repeat heavily in the low bits of RISC-V words; fold
         // the upper (rd/rs/imm) bits in so distinct instructions spread.
-        ((word >> 2) ^ (word >> 15) ^ (word >> 24)) as usize & (SLOTS - 1)
+        ((word >> 2) ^ (word >> 15) ^ (word >> 24)) as usize & (SETS - 1)
     }
 
     /// Decodes and resolves `word`, serving from the memo table when
@@ -68,15 +81,15 @@ impl DecodeCache {
     /// Exactly the errors of [`vortex_isa::decode`].
     #[inline]
     pub fn decode(&mut self, word: u32) -> Result<Slot, DecodeError> {
-        let index = Self::index(word);
-        if let Some(slot) = self.slots[index] {
-            if slot.pc == word {
-                self.hits += 1;
-                return Ok(slot);
-            }
+        let set = &mut self.sets[Self::index(word)];
+        if let Some(slot) = set.iter().flatten().find(|slot| slot.pc == word) {
+            self.hits += 1;
+            return Ok(*slot);
         }
+        // Fill the first way, demoting the others and evicting the last.
         let slot = Slot::decode(word)?.at(word);
-        self.slots[index] = Some(slot);
+        set.rotate_right(1);
+        set[0] = Some(slot);
         self.misses += 1;
         Ok(slot)
     }
@@ -131,27 +144,45 @@ mod tests {
         assert_eq!(hits, 99);
     }
 
+    /// `n` distinct valid words that all index `ADDI`'s set.
+    fn colliding_words(n: usize) -> Vec<u32> {
+        let set = DecodeCache::index(ADDI);
+        let words: Vec<u32> = (0..1_000_000u32)
+            .map(|delta| ADDI.wrapping_add(delta << 7)) // vary every field above the opcode
+            .filter(|&w| DecodeCache::index(w) == set && decode(w).is_ok())
+            .take(n)
+            .collect();
+        assert_eq!(words.len(), n, "enough colliding valid words");
+        words
+    }
+
     #[test]
     fn conflicting_words_never_alias() {
-        // Two different words forced into the same slot must each decode
-        // to their own instruction (the stored word is compared exactly).
+        // More distinct words than ways, forced into one set, must each
+        // decode to their own instruction however they evict each other
+        // (the stored word is compared exactly).
         let mut cache = DecodeCache::new();
-        let a = ADDI;
-        let mut b = None;
-        for delta in 1..1_000_000u32 {
-            let cand = ADDI.wrapping_add(delta << 7); // vary rd upward
-            if DecodeCache::index(cand) == DecodeCache::index(a) && decode(cand).is_ok() {
-                b = Some(cand);
-                break;
+        let words = colliding_words(WAYS + 2);
+        for round in 0..3 {
+            for &w in &words {
+                let slot = cache.decode(w).unwrap();
+                assert_eq!(slot.instr, decode(w).unwrap(), "round {round} word {w:#010x}");
+                assert_eq!(slot.pc, w);
             }
         }
-        let Some(b) = b else {
-            return; // no colliding valid word found — vacuously fine
-        };
-        let ia = cache.decode(a).unwrap();
-        let ib = cache.decode(b).unwrap();
-        assert_eq!(cache.decode(a).unwrap(), ia);
-        assert_eq!(cache.decode(b).unwrap(), ib);
-        assert_ne!(ia, ib);
+        // Cycling through more words than ways misses on every access.
+        assert_eq!(cache.stats(), (0, 3 * words.len() as u64));
+    }
+
+    #[test]
+    fn words_sharing_a_set_stay_resident_up_to_its_ways() {
+        let mut cache = DecodeCache::new();
+        let words = colliding_words(WAYS);
+        for _ in 0..10 {
+            for &w in &words {
+                cache.decode(w).unwrap();
+            }
+        }
+        assert_eq!(cache.stats(), (9 * WAYS as u64, WAYS as u64));
     }
 }

@@ -26,6 +26,7 @@
 use crate::barrier::{BarrierOutcome, BarrierTable};
 use crate::config::{GpuConfig, MAX_CORES};
 use crate::core::Core;
+use crate::decode_cache::DecodeCache;
 use crate::error::{HangReport, SimError};
 use crate::stats::GpuStats;
 use crate::telemetry::{Telemetry, TimeSeries};
@@ -45,6 +46,12 @@ pub struct Gpu {
     global_barriers: BarrierTable,
     /// Functional device memory.
     pub ram: Ram,
+    /// The one decode memo every core consults ([`None`] when
+    /// `CoreConfig::decode_cache` is off). All cores run the same kernel
+    /// text and the memo is keyed by the fetched word, so one table
+    /// serves them all. Host-side scratch like the skip counters: never
+    /// serialized, carried across checkpoint-drill rebuilds by hand.
+    decode_memo: Option<DecodeCache>,
     cycle: u64,
     /// Watchdog: progress token at the last cycle progress was observed.
     last_progress_token: u64,
@@ -119,6 +126,7 @@ impl Gpu {
             hierarchy,
             global_barriers: BarrierTable::new(16),
             ram: Ram::new(),
+            decode_memo: config.core.decode_cache.then(DecodeCache::new),
             cycle: 0,
             last_progress_token: 0,
             last_progress_cycle: 0,
@@ -192,7 +200,7 @@ impl Gpu {
     pub fn step(&mut self) -> Result<(), SimError> {
         let mut first_err = None;
         for core in &mut self.cores {
-            if let Err(e) = core.tick(&mut self.ram) {
+            if let Err(e) = core.tick(&mut self.ram, self.decode_memo.as_mut()) {
                 first_err.get_or_insert(e);
             }
         }
@@ -346,6 +354,7 @@ impl Gpu {
                     fresh.skip_events = self.skip_events;
                     fresh.ff_backoff = self.ff_backoff;
                     fresh.ff_instr_mark = self.ff_instr_mark;
+                    fresh.decode_memo = self.decode_memo.take();
                     *self = fresh;
                 }
                 other => return other,
@@ -530,6 +539,15 @@ impl Gpu {
             }
         }
         merged
+    }
+
+    /// `(hits, misses)` of the GPU's one decode memo, summed over every
+    /// core's fetches; `(0, 0)` when `CoreConfig::decode_cache` is off.
+    /// Host-side diagnostics only — deliberately not part of
+    /// [`GpuStats`], so simulation statistics stay identical with the
+    /// memo on or off.
+    pub fn decode_memo_stats(&self) -> (u64, u64) {
+        self.decode_memo.as_ref().map_or((0, 0), DecodeCache::stats)
     }
 
     /// Snapshot of all counters.
@@ -834,6 +852,77 @@ mod tests {
         run_program(&mut gpu, &a);
         assert_eq!(gpu.ram.read_u32(0x7300), 2);
         assert_eq!(gpu.ram.read_u32(0x7304), 2);
+    }
+
+    /// Runs a 4-core kernel of two passes, each opened by a global
+    /// barrier. Every core executes the `addi` at `patch` in both passes
+    /// and stores its result (pass 1 at `0x7410 + 4*cid`, pass 2 at
+    /// `0x7400 + 4*cid`); core 0 overwrites that `addi` between them.
+    fn run_code_patched_by_core_zero(decode_cache: bool) -> (Gpu, vortex_asm::Program) {
+        let mut patch = Assembler::new();
+        patch.addi(Reg::X7, Reg::X0, 99);
+        let patched = patch.assemble(0).expect("assembles").image[0];
+
+        let mut config = GpuConfig::with_cores(4);
+        config.core.decode_cache = decode_cache;
+        let mut gpu = Gpu::new(config);
+        let mut a = Assembler::new();
+        a.csrr(Reg::X5, vortex_isa::csr::VX_CID);
+        a.li(Reg::X13, 2); // passes left
+        a.label("pass").unwrap();
+        a.li(Reg::X10, vortex_isa::vx::BAR_GLOBAL_BIT as i32);
+        a.li(Reg::X11, 4);
+        // `bar` blocks fetch: nothing past it is fetched before every
+        // core arrived, so pass 2 fetches `patch` after core 0's store.
+        a.bar(Reg::X10, Reg::X11);
+        a.label("patch").unwrap();
+        a.addi(Reg::X7, Reg::X0, 1);
+        a.addi(Reg::X6, Reg::X13, -1);
+        a.slli(Reg::X6, Reg::X6, 4);
+        a.slli(Reg::X12, Reg::X5, 2);
+        a.add(Reg::X6, Reg::X6, Reg::X12);
+        a.li(Reg::X12, 0x7400);
+        a.add(Reg::X6, Reg::X6, Reg::X12);
+        a.sw(Reg::X7, Reg::X6, 0);
+        a.bnez(Reg::X5, "next");
+        a.li(Reg::X8, patched as i32);
+        a.la(Reg::X9, "patch");
+        a.sw(Reg::X8, Reg::X9, 0);
+        a.label("next").unwrap();
+        a.addi(Reg::X13, Reg::X13, -1);
+        a.bnez(Reg::X13, "pass");
+        a.ecall();
+        let prog = a.assemble(ENTRY).expect("assembles");
+        gpu.ram.write_bytes(prog.base, &prog.to_bytes());
+        gpu.launch(prog.entry);
+        gpu.run(1_000_000).expect("kernel finishes");
+        assert_eq!(gpu.ram.read_u32(prog.addr_of("patch")), patched);
+        (gpu, prog)
+    }
+
+    #[test]
+    fn code_patched_by_one_core_runs_on_every_core() {
+        let (on, prog) = run_code_patched_by_core_zero(true);
+        let (off, _) = run_code_patched_by_core_zero(false);
+        for cid in 0..4 {
+            assert_eq!(on.ram.read_u32(0x7410 + 4 * cid), 1, "core {cid}, pass 1");
+            assert_eq!(on.ram.read_u32(0x7400 + 4 * cid), 99, "core {cid}, pass 2");
+        }
+        assert_eq!(on.stats(), off.stats());
+        let image = |gpu: &Gpu| {
+            let mut w = vortex_snapshot::Writer::new();
+            gpu.ram.save_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(image(&on), image(&off));
+        // One shared table: every distinct word the kernel ever held (its
+        // text plus the patched `addi`) missed once for all four cores.
+        let mut words: std::collections::BTreeSet<u32> = prog.image.iter().copied().collect();
+        words.insert(on.ram.read_u32(prog.addr_of("patch")));
+        let (hits, misses) = on.decode_memo_stats();
+        assert_eq!(misses, words.len() as u64, "every distinct word once");
+        assert!(hits > misses);
+        assert_eq!(off.decode_memo_stats(), (0, 0));
     }
 
     #[test]

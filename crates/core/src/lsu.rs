@@ -18,14 +18,16 @@ pub mod tags {
     /// Bit marking texture-unit requests (vs LSU).
     pub const TEX_BIT: Tag = 1 << 62;
 
-    /// Builds an LSU tag from entry and lane.
+    /// Builds an LSU tag from entry and lane: the lane in the low byte,
+    /// the entry index in every bit above it, so any entry count
+    /// round-trips (tags are 64-bit; [`TEX_BIT`] sits far above).
     pub fn lsu(entry: usize, lane: usize) -> Tag {
         ((entry as Tag) << 8) | lane as Tag
     }
 
     /// Splits an LSU tag.
     pub fn split_lsu(tag: Tag) -> (usize, usize) {
-        (((tag >> 8) & 0xFF) as usize, (tag & 0xFF) as usize)
+        ((tag >> 8) as usize, (tag & 0xFF) as usize)
     }
 }
 
@@ -344,6 +346,23 @@ mod tests {
         lsu.issue_load(3, &[None, None], wb(2));
         assert!(lsu.has_ready());
         assert!(lsu.can_accept_load(), "no entry consumed");
+    }
+
+    #[test]
+    fn entries_past_256_complete_on_their_own_responses() {
+        // Entry 256's tag must not alias entry 0's, or a response for the
+        // one clears the other's lane.
+        let mut lsu = Lsu::new(300);
+        let access = [Some(LaneAccess { addr: 0x100, write: false })];
+        for wid in 0..=256 {
+            lsu.issue_load(wid, &access, wb(1));
+            lsu.dcache_groups.clear();
+        }
+        lsu.push_rsp(tags::lsu(256, 0));
+        assert_eq!(lsu.pop_ready().map(|(wid, _)| wid), Some(256));
+        assert!(!lsu.has_ready(), "entry 0 is still waiting on its lane");
+        lsu.push_rsp(tags::lsu(0, 0));
+        assert_eq!(lsu.pop_ready().map(|(wid, _)| wid), Some(0));
     }
 
     #[test]

@@ -828,8 +828,7 @@ impl Cache {
             if bank.stage[0].is_none() {
                 if let Some(line) = bank.fills.pop_front() {
                     bank.fill_line(line);
-                    let released = bank.mshr.release(line);
-                    bank.replays.extend(released);
+                    bank.mshr.release(line, &mut bank.replays);
                 } else if let Some(req) = bank.replays.pop_front() {
                     bank.stage[0] = Some(PipeEntry {
                         req,
@@ -1090,6 +1089,25 @@ mod tests {
             }
         }
         got
+    }
+
+    #[test]
+    fn miss_stream_recycles_mshr_request_vectors() {
+        // Thousands of primary misses (a 1 KiB cache swept over 256 KiB)
+        // reuse a pool of per-line vectors no larger than the MSHRs.
+        let mut c = small_cache(2);
+        let reqs = (0..4096u32).map(|i| MemReq::read(i as Tag, i * 64)).collect();
+        let got = run_until_idle(&mut c, reqs, 100_000);
+        assert_eq!(got.len(), 4096);
+        assert!(c.stats.read_misses >= 4096);
+        for bank in &c.banks {
+            assert!(
+                bank.mshr.fresh_vecs() <= c.config.mshr_size as u64,
+                "{} fresh vectors for an MSHR of {}",
+                bank.mshr.fresh_vecs(),
+                c.config.mshr_size
+            );
+        }
     }
 
     #[test]

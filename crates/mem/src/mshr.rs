@@ -22,6 +22,14 @@ pub struct Mshr {
     /// Total pending core requests across entries.
     pending: usize,
     capacity: usize,
+    /// Emptied per-line request vectors kept for the next primary miss,
+    /// so the steady state never touches the allocator. Host-side scratch:
+    /// never serialized, restores empty.
+    spare: Vec<Vec<BankReq>>,
+    /// Per-line request vectors created because the pool was empty (host
+    /// diagnostic, not state). At most one entry per pending request is
+    /// ever live, so this stays at or below `capacity`.
+    fresh: u64,
 }
 
 impl Mshr {
@@ -37,6 +45,8 @@ impl Mshr {
             entries: VecDeque::with_capacity(capacity),
             pending: 0,
             capacity,
+            spare: Vec::new(),
+            fresh: 0,
         }
     }
 
@@ -71,22 +81,36 @@ impl Mshr {
             reqs.push(req);
             false
         } else {
-            self.entries.push_back((line, vec![req]));
+            let mut reqs = self.spare.pop().unwrap_or_else(|| {
+                self.fresh += 1;
+                Vec::new()
+            });
+            reqs.push(req);
+            self.entries.push_back((line, reqs));
             true
         }
     }
 
     /// Releases every request waiting on `line` (called when its fill
-    /// arrives). Returns the requests in allocation order.
+    /// arrives), appending them to `out` in allocation order. The emptied
+    /// vector goes back to the spare pool.
     #[inline]
-    pub fn release(&mut self, line: u32) -> Vec<BankReq> {
-        if let Some(pos) = self.entries.iter().position(|(l, _)| *l == line) {
-            let (_, reqs) = self.entries.remove(pos).expect("position just found");
-            self.pending -= reqs.len();
-            reqs
-        } else {
-            Vec::new()
+    pub fn release(&mut self, line: u32, out: &mut VecDeque<BankReq>) {
+        let Some(pos) = self.entries.iter().position(|(l, _)| *l == line) else {
+            return;
+        };
+        let (_, mut reqs) = self.entries.remove(pos).expect("position just found");
+        self.pending -= reqs.len();
+        out.extend(reqs.drain(..));
+        if self.spare.len() < self.capacity {
+            self.spare.push(reqs);
         }
+    }
+
+    /// Per-line request vectors ever created because the spare pool was
+    /// empty (the allocation audit's number; at most the capacity).
+    pub fn fresh_vecs(&self) -> u64 {
+        self.fresh
     }
 
     /// Number of pending core requests.
@@ -134,6 +158,8 @@ impl Mshr {
             return Err(vortex_snapshot::SnapError::BadValue("mshr occupancy"));
         }
         self.pending = pending;
+        self.spare.clear();
+        self.fresh = 0;
         Ok(())
     }
 }
@@ -166,7 +192,8 @@ mod tests {
         let mut m = Mshr::new(4);
         m.allocate(10, req(1));
         m.allocate(10, req(2));
-        let released = m.release(10);
+        let mut released = VecDeque::new();
+        m.release(10, &mut released);
         assert_eq!(released.len(), 2);
         assert_eq!(released[0].subs[0].tag, 1);
         assert_eq!(released[1].subs[0].tag, 2);
@@ -177,7 +204,44 @@ mod tests {
     #[test]
     fn release_unknown_line_is_empty() {
         let mut m = Mshr::new(2);
-        assert!(m.release(99).is_empty());
+        let mut released = VecDeque::new();
+        m.release(99, &mut released);
+        assert!(released.is_empty());
+    }
+
+    #[test]
+    fn long_miss_fill_stream_reuses_request_vectors() {
+        // Primary misses, merges and fills in a rolling window: every
+        // per-line vector after the first `capacity` comes from the pool.
+        let capacity = 8;
+        let mut m = Mshr::new(capacity);
+        let mut out = VecDeque::new();
+        let mut next_line = 0u32;
+        let mut live = VecDeque::new();
+        for i in 0..20_000u64 {
+            if m.has_space() && (i % 3 != 0 || live.is_empty()) {
+                // A miss on every fourth iteration merges onto the newest line.
+                let line = match live.back() {
+                    Some(&l) if i % 4 == 0 => l,
+                    _ => {
+                        next_line += 1;
+                        live.push_back(next_line);
+                        next_line
+                    }
+                };
+                m.allocate(line, req(i));
+            } else if let Some(line) = live.pop_front() {
+                out.clear();
+                m.release(line, &mut out);
+                assert!(!out.is_empty());
+            }
+        }
+        assert!(next_line > 1000, "the stream must churn many lines");
+        assert!(
+            m.fresh_vecs() <= capacity as u64,
+            "{} fresh vectors for capacity {capacity}",
+            m.fresh_vecs()
+        );
     }
 
     #[test]
