@@ -22,7 +22,21 @@
 use crate::builder::Assembler;
 use crate::error::AsmError;
 use crate::program::Program;
+use std::ops::RangeInclusive;
 use vortex_isa::{FReg, Reg};
+
+/// I- and S-type immediates (ALU immediates and memory offsets).
+const IMM12: RangeInclusive<i32> = -2048..=2047;
+/// Shift amounts.
+const SHAMT: RangeInclusive<i32> = 0..=31;
+/// `lui`/`auipc` upper immediates, before the shift by 12.
+const UIMM20: RangeInclusive<i32> = 0..=0xF_FFFF;
+/// CSR numbers.
+const CSR_NUM: RangeInclusive<i32> = 0..=0xFFF;
+/// B-type branch offsets (even).
+const BRANCH_OFF: RangeInclusive<i32> = -4096..=4094;
+/// J-type `jal` offsets (even).
+const JAL_OFF: RangeInclusive<i32> = -(1 << 20)..=(1 << 20) - 2;
 
 fn syntax(line: usize, msg: impl Into<String>) -> AsmError {
     AsmError::Syntax {
@@ -56,7 +70,47 @@ fn parse_imm(tok: &str, line: usize) -> Result<i32, AsmError> {
     i32::try_from(v).map_err(|_| syntax(line, format!("immediate `{tok}` out of range")))
 }
 
-/// Splits `off(reg)` into `(offset, reg)`.
+/// Parses an immediate the instruction encodes in a field of `range`: a
+/// value outside it would be truncated into a different program, so it is
+/// an error rather than silently wrapped.
+fn parse_imm_in(tok: &str, line: usize, range: RangeInclusive<i32>) -> Result<i32, AsmError> {
+    let v = parse_imm(tok, line)?;
+    if range.contains(&v) {
+        Ok(v)
+    } else {
+        Err(syntax(
+            line,
+            format!(
+                "immediate `{tok}` outside {}..={}",
+                range.start(),
+                range.end()
+            ),
+        ))
+    }
+}
+
+/// Parses a branch or `jal` target: `None` for a label, the offset for a
+/// number, which must be even and within `range`.
+fn parse_target(
+    tok: &str,
+    line: usize,
+    range: RangeInclusive<i32>,
+) -> Result<Option<i32>, AsmError> {
+    let Ok(offset) = parse_imm(tok, line) else {
+        return Ok(None);
+    };
+    if offset % 2 != 0 {
+        return Err(syntax(line, format!("odd target offset `{tok}`")));
+    }
+    parse_imm_in(tok, line, range).map(Some)
+}
+
+/// Parses a CSR number.
+fn parse_csr(tok: &str, line: usize) -> Result<u16, AsmError> {
+    parse_imm_in(tok, line, CSR_NUM).map(|v| v as u16)
+}
+
+/// Splits `off(reg)` into `(offset, reg)`; the offset is a 12-bit immediate.
 fn parse_mem(tok: &str, line: usize) -> Result<(i32, Reg), AsmError> {
     let open = tok
         .find('(')
@@ -69,7 +123,7 @@ fn parse_mem(tok: &str, line: usize) -> Result<(i32, Reg), AsmError> {
     let offset = if off_str.is_empty() {
         0
     } else {
-        parse_imm(off_str, line)?
+        parse_imm_in(off_str, line, IMM12)?
     };
     Ok((offset, parse_reg(reg_str, line)?))
 }
@@ -134,11 +188,11 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             }};
         }
         macro_rules! rri {
-            ($m:ident) => {{
+            ($m:ident, $range:expr) => {{
                 argc(3)?;
                 let rd = parse_reg(ops[0], line)?;
                 let rs1 = parse_reg(ops[1], line)?;
-                let imm = parse_imm(ops[2], line)?;
+                let imm = parse_imm_in(ops[2], line, $range)?;
                 a.$m(rd, rs1, imm);
             }};
         }
@@ -166,7 +220,7 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                 // Target may be a label or a numeric byte offset (the
                 // disassembler prints offsets, so this keeps
                 // parse(disassemble(p)) == p).
-                if let Ok(offset) = parse_imm(ops[2], line) {
+                if let Some(offset) = parse_target(ops[2], line, BRANCH_OFF)? {
                     a.raw(vortex_isa::Instr::Branch {
                         cond: $cond,
                         rs1,
@@ -214,15 +268,15 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "divu" => rrr!(divu),
             "rem" => rrr!(rem),
             "remu" => rrr!(remu),
-            "addi" => rri!(addi),
-            "slti" => rri!(slti),
-            "sltiu" => rri!(sltiu),
-            "xori" => rri!(xori),
-            "ori" => rri!(ori),
-            "andi" => rri!(andi),
-            "slli" => rri!(slli),
-            "srli" => rri!(srli),
-            "srai" => rri!(srai),
+            "addi" => rri!(addi, IMM12),
+            "slti" => rri!(slti, IMM12),
+            "sltiu" => rri!(sltiu, IMM12),
+            "xori" => rri!(xori, IMM12),
+            "ori" => rri!(ori, IMM12),
+            "andi" => rri!(andi, IMM12),
+            "slli" => rri!(slli, SHAMT),
+            "srli" => rri!(srli, SHAMT),
+            "srai" => rri!(srai, SHAMT),
             "lb" => load!(lb),
             "lh" => load!(lh),
             "lw" => load!(lw),
@@ -244,13 +298,13 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "lui" => {
                 argc(2)?;
                 let rd = parse_reg(ops[0], line)?;
-                let imm = parse_imm(ops[1], line)?;
+                let imm = parse_imm_in(ops[1], line, UIMM20)?;
                 a.lui(rd, imm << 12);
             }
             "auipc" => {
                 argc(2)?;
                 let rd = parse_reg(ops[0], line)?;
-                let imm = parse_imm(ops[1], line)?;
+                let imm = parse_imm_in(ops[1], line, UIMM20)?;
                 a.auipc(rd, imm << 12);
             }
             "jal" => match ops.len() {
@@ -259,7 +313,7 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                 }
                 2 => {
                     let rd = parse_reg(ops[0], line)?;
-                    if let Ok(offset) = parse_imm(ops[1], line) {
+                    if let Some(offset) = parse_target(ops[1], line, JAL_OFF)? {
                         a.raw(vortex_isa::Instr::Jal { rd, offset });
                     } else {
                         a.jal(rd, ops[1]);
@@ -343,17 +397,17 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "csrr" => {
                 argc(2)?;
                 let rd = parse_reg(ops[0], line)?;
-                a.csrr(rd, parse_imm(ops[1], line)? as u16);
+                a.csrr(rd, parse_csr(ops[1], line)?);
             }
             "csrw" => {
                 argc(2)?;
-                let csr = parse_imm(ops[0], line)? as u16;
+                let csr = parse_csr(ops[0], line)?;
                 a.csrw(csr, parse_reg(ops[1], line)?);
             }
             "csrrw" | "csrrs" | "csrrc" => {
                 argc(3)?;
                 let rd = parse_reg(ops[0], line)?;
-                let csr = parse_imm(ops[1], line)? as u16;
+                let csr = parse_csr(ops[1], line)?;
                 let rs1 = parse_reg(ops[2], line)?;
                 match mnemonic {
                     "csrrw" => a.csrrw(rd, csr, rs1),
@@ -479,6 +533,9 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                         .map_err(|_| syntax(line, format!("bad texture stage in `{m}`")))?,
                     None => 0,
                 };
+                if usize::from(stage) >= vortex_isa::csr::TEX_STAGES {
+                    return Err(syntax(line, format!("no texture stage {stage} in `{m}`")));
+                }
                 let rd = parse_reg(ops[0], line)?;
                 let u = parse_reg(ops[1], line)?;
                 let v = parse_reg(ops[2], line)?;
@@ -564,7 +621,7 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "csrrwi" | "csrrsi" | "csrrci" => {
                 argc(3)?;
                 let rd = parse_reg(ops[0], line)?;
-                let csr_addr = parse_imm(ops[1], line)? as u16;
+                let csr_addr = parse_csr(ops[1], line)?;
                 let imm = parse_imm(ops[2], line)?;
                 if !(0..32).contains(&imm) {
                     return Err(syntax(line, "CSR immediate must be in 0..32"));
@@ -657,10 +714,51 @@ mod tests {
         assert!(matches!(err, AsmError::Syntax { line: 2, .. }), "{err}");
     }
 
+    /// Malformed operands, and immediates the encoding cannot hold, are
+    /// errors on their own line, never truncated into another instruction.
     #[test]
     fn rejects_malformed_operands() {
-        assert!(parse_asm("addi x1, x2", 0).is_err());
-        assert!(parse_asm("lw x1, x2", 0).is_err());
-        assert!(parse_asm("addi x1, x2, zz", 0).is_err());
+        for src in [
+            "addi x1, x2",
+            "lw x1, x2",
+            "addi x1, x2, zz",
+            "addi x5,x5,5000",
+            "addi x5,x5,-2049",
+            "lw x5,4096(x6)",
+            "sw x5,-3000(x6)",
+            "slli x5,x5,40",
+            "lui x5,0x100000",
+            "csrr x5,0x10000",
+            "andi x5,x5,0xfff",
+            "beq x5,x6,3",
+            "beq x5,x6,4096",
+            "jal x1,3",
+            "jal x1,1048576",
+            "auipc x5,-1",
+            "csrw 0x1000, x5",
+            "jalr x1,2048(x5)",
+            "tex.4 x1, x2, x3, x4",
+        ] {
+            let err = parse_asm(&format!("nop\n{src}"), 0).unwrap_err();
+            assert!(
+                matches!(err, AsmError::Syntax { line: 2, .. }),
+                "`{src}`: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn accepts_immediates_at_their_limits() {
+        for src in [
+            "addi x5,x5,-2048",
+            "andi x5,x5,2047",
+            "srai x5,x5,31",
+            "lui x5,0xfffff",
+            "csrr x5,0xfff",
+            "beq x5,x6,-4096",
+            "jal x1,1048574",
+        ] {
+            parse_asm(src, 0).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+        }
     }
 }

@@ -378,10 +378,17 @@ impl Kernel {
         gpu
     }
 
-    /// The column of this kernel on `config` with every [`KERNEL_ROWS`] row.
-    fn column(self, name: &str, config: GpuConfig) -> Column {
+    /// The column of this kernel on `config` with every [`KERNEL_ROWS`] row,
+    /// pinned to `pin` cycles.
+    fn column(self, name: &str, config: GpuConfig, pin: u64) -> Column {
         let name = if self.faults.is_some() { format!("{name}_faulted") } else { name.into() };
-        Column::new(&name, config, KERNEL_ROWS, None, Box::new(move |c, d| self.run(c, d)))
+        Column::new(
+            &name,
+            config,
+            KERNEL_ROWS,
+            Some(pin),
+            Box::new(move |c, d| self.run(c, d)),
+        )
     }
 
     fn run(&self, config: &GpuConfig, drive: Drive) -> Digest {
@@ -513,7 +520,13 @@ fn chase_column(clustered: bool, faulted: bool) -> Column {
         config.l2 = Some(vortex_mem::hierarchy::l2_default());
         config.l3 = Some(vortex_mem::hierarchy::l3_default());
     }
-    let column = kernel.column(if clustered { "chase_l2_l3" } else { "chase" }, config);
+    let (name, pin) = match (clustered, faulted) {
+        (false, false) => ("chase", 2_104),
+        (false, true) => ("chase", 2_767),
+        (true, false) => ("chase_l2_l3", 2_383),
+        (true, true) => ("chase_l2_l3", 2_809),
+    };
+    let column = kernel.column(name, config, pin);
     let d = &column.base.digest;
     assert!(d.mem.iter().flatten().all(|&b| b == 0), "cold RAM reads sum to zero");
     assert!(d.stats.merged_dcache().read_misses >= 16, "the chase misses in the D$");
@@ -755,7 +768,8 @@ fn barrier_kernel(faulted: bool) -> Kernel {
 fn barrier_column(faulted: bool) -> Column {
     let mut config = observed(BARRIER_CORES);
     config.watchdog_cycles = 50_000;
-    let column = barrier_kernel(faulted).column("barrier", config);
+    let pin = if faulted { 3_374 } else { 2_233 };
+    let column = barrier_kernel(faulted).column("barrier", config, pin);
     let d = &column.base.digest;
     let mem = d.mem.as_ref().unwrap();
     let gtid0 = u32::from_le_bytes(mem[0..4].try_into().unwrap());
@@ -1012,7 +1026,7 @@ fn gate_workloads_survive_checkpoint_drill() {
 fn bfs_default_fast_forward_skips_a_quarter() {
     let column = gate("bfs");
     column.check(&["fast_forward_off"]);
-    assert_skips(column, 6_559, (1, 4));
+    assert_skips(column, 6_711, (1, 4));
 }
 
 /// Figure 21's deepest latency point: 400-cycle DRAM round trips turn
@@ -1021,9 +1035,14 @@ fn bfs_default_fast_forward_skips_a_quarter() {
 fn bfs_dram_latency_400() {
     let mut config = GpuConfig::with_cores(1);
     config.dram.latency = 400;
-    let column = bench_column(Box::new(Bfs::default()), config, &[FAST_FORWARD_OFF], None);
+    let column = bench_column(
+        Box::new(Bfs::default()),
+        config,
+        &[FAST_FORWARD_OFF],
+        Some(2_334_927),
+    );
     column.check_all();
-    assert_skips(&column, 6_700, (6, 10));
+    assert_skips(&column, 6_850, (6, 10));
 }
 
 /// With 16 cores in flight the global horizon almost never opens (some
@@ -1032,7 +1051,13 @@ fn bfs_dram_latency_400() {
 #[test]
 fn bfs_mc16() {
     let config = GpuConfig::with_cores(16);
-    bench_column(Box::new(Bfs::default()), config, &[FAST_FORWARD_OFF], None).check_all();
+    bench_column(
+        Box::new(Bfs::default()),
+        config,
+        &[FAST_FORWARD_OFF],
+        Some(51_862),
+    )
+    .check_all();
 }
 
 /// The graphics gate: geometry, binning and the SIMT raster kernel with
@@ -1095,14 +1120,26 @@ fn reduce_snapshot_bytes_are_pinned() {
 }
 
 /// The registered workloads at their fast sizes on 4 profiled cores, with
-/// the decode memo on (base) and off.
+/// the decode memo on (base) and off, each pinned to its cycle count.
 fn registered() -> &'static [Column] {
     static COLUMNS: OnceLock<Vec<Column>> = OnceLock::new();
     COLUMNS.get_or_init(|| {
         let mut config = GpuConfig::with_cores(4);
         config.profile = true;
         let benches = vortex_bench::registered_benches(true).into_iter();
-        benches.map(|(_, b)| bench_column(b, config.clone(), &[DECODE_MEMO_OFF], None)).collect()
+        benches
+            .map(|(key, b)| {
+                let pin = match key {
+                    "sgemm" => 3_105,
+                    "bfs" => 9_409,
+                    "nearn" => 1_324,
+                    "texture" => 4_953,
+                    "raster" => 836_346,
+                    other => panic!("no pin for registered workload {other}"),
+                };
+                bench_column(b, config.clone(), &[DECODE_MEMO_OFF], Some(pin))
+            })
+            .collect()
     })
 }
 

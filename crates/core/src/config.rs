@@ -184,16 +184,16 @@ pub struct GpuConfig {
     /// snapshot fingerprint. `0` (the default) disables the
     /// drill at the cost of one branch per `run` call.
     pub checkpoint_drill: u64,
-    /// Event-driven idle-cycle fast-forward: when every component
-    /// reports its next event strictly beyond `cycle + 1`, `Gpu::run`
-    /// jumps straight to the earliest horizon, bulk-advancing stall
-    /// counters, profile attribution, telemetry windows and watchdog/
-    /// drill deadlines as if each cycle had ticked. Pure host-throughput
-    /// optimization: simulated cycles, [`crate::GpuStats`], telemetry,
-    /// profiles and snapshots are bit-identical on or off (asserted by
-    /// the invariant matrix, `crates/bench/tests/invariants.rs`); skipping
-    /// is horizon-clamped at fault sites so injected decision streams
-    /// advance cycle by cycle.
+    /// GPU-level idle-cycle fast-forward: when every core has parked or
+    /// drained and the memory hierarchy's next event lies strictly
+    /// beyond `cycle + 1`, `Gpu::run` jumps straight to the earliest
+    /// horizon (clamped by telemetry windows and watchdog/drill
+    /// deadlines), deferring the span into each core's park. Pure
+    /// host-throughput optimization: simulated cycles,
+    /// [`crate::GpuStats`], telemetry, profiles and snapshots are
+    /// bit-identical on or off (asserted by the invariant matrix,
+    /// `crates/bench/tests/invariants.rs`); faulted cores never park, so
+    /// injected decision streams advance cycle by cycle.
     /// On in [`GpuConfig::with_cores`]; `vxsim` exposes
     /// `--no-fast-forward`. Never enters the snapshot fingerprint.
     pub fast_forward: bool,

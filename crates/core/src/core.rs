@@ -60,15 +60,16 @@ struct Completion {
 }
 
 /// Deferred state of a *parked* core: a core whose own
-/// [`Core::next_event_cycle`] proved that every tick until `until` is a
+/// [`Core::horizon_probe`] proved that every tick until `until` is a
 /// pure idle bump. While parked, [`Core::tick`] reduces to two counter
 /// increments and the per-tick side effects (stall bucket, profiler
 /// attribution, shared-memory clock, texture countdowns) accumulate in
-/// `delta`, to be replayed in one batch by [`Core::unpark`] — the same
-/// replay [`Core::bulk_advance`] performs, and legal for the same
-/// reason: any state change that could alter the memoized classification
-/// is an event that would have kept the horizon at "now", or arrives
-/// through an external entry point that unparks first.
+/// `delta`, to be replayed in one batch by [`Core::unpark`]. A GPU-level
+/// jump over the span adds to the same `delta` ([`Core::bulk_advance`]).
+/// The replay is exact because any state change that could alter the
+/// memoized classification is an event that would have kept the horizon
+/// at "now", or arrives through an external entry point that unparks
+/// first.
 ///
 /// Parking is host-side scheduling, invisible to the simulated machine:
 /// it is never serialized, and the run loop flushes all parks before
@@ -82,7 +83,7 @@ struct Park {
     /// Idle ticks taken while parked but not yet replayed.
     delta: u64,
     /// Memoized no-pick classification (see [`IssueScan`]) — constant
-    /// over the span by the fast-forward contract.
+    /// over the span because nothing in it is an event.
     blocked_scoreboard: bool,
     blocked_fu: bool,
     /// Memoized profiler attribution site `(pc, encoded word)`; `None`
@@ -91,9 +92,9 @@ struct Park {
 }
 
 /// Outcome of the pure issue-candidate scan. One scan is shared by the
-/// issue stage, the fast-forward horizon probe, and the bulk advance so
-/// all three classify a no-pick cycle identically (same bucket, same
-/// profiler attribution site) by construction.
+/// issue stage and the park probe (which memoizes it for the replay), so
+/// both classify a no-pick cycle identically (same bucket, same profiler
+/// attribution site) by construction.
 #[derive(Debug, Clone, Copy)]
 struct IssueScan {
     /// Wavefront the issue stage would pick this cycle, if any.
@@ -197,7 +198,7 @@ pub struct Core {
     /// decision streams even on empty offers, so skipping ticks would
     /// desynchronize them.
     drained: bool,
-    /// Active park, when the core is locally fast-forwarding (see
+    /// Active park, when the core has proven an idle span (see
     /// [`Park`]). Host-side scheduling state: never serialized, always
     /// `None` outside a run loop.
     park: Option<Park>,
@@ -391,10 +392,10 @@ impl Core {
     /// The issue stage's candidate scan, as a pure function of core state:
     /// which wavefront would issue this cycle, or — when none can — how the
     /// stalled cycle would be classified. Shared verbatim by
-    /// [`Core::issue_stage`] (which acts on it), the fast-forward horizon
-    /// probe (which requires `picked == None` to skip), and
-    /// [`Core::bulk_advance`] (which replays the classification for every
-    /// skipped cycle), so all three agree bit for bit.
+    /// [`Core::issue_stage`] (which acts on it) and
+    /// [`Core::horizon_probe`] (which requires `picked == None` to park,
+    /// and whose classification [`Core::unpark`] replays for every
+    /// parked cycle), so both agree bit for bit.
     fn issue_scan(&self) -> IssueScan {
         let mut scan = IssueScan {
             picked: None,
@@ -669,7 +670,7 @@ impl Core {
 
     /// The fetch stage's ready mask as a pure function of core state:
     /// wavefronts the scheduler would be offered this cycle. Shared by
-    /// [`Core::fetch_stage`] and the fast-forward horizon probe — a
+    /// [`Core::fetch_stage`] and [`Core::horizon_probe`] — a
     /// non-zero mask means fetch would engage the (stateful) scheduler,
     /// so the cycle is not skippable.
     fn fetch_ready_mask(&self) -> u64 {
@@ -904,13 +905,13 @@ impl Core {
         Ok(())
     }
 
-    /// Park probe: asks [`Core::next_event_cycle`]'s horizon logic for
+    /// Park probe: asks [`Core::horizon_probe`] for
     /// the first live cycle and parks the core when the proven-idle span
     /// is long enough to beat the replay bookkeeping.
     fn try_park(&mut self) {
         if self.has_faults {
             // Fault plans draw on every live tick; parking would desync
-            // their decision streams (same rule as the GPU fast-forward).
+            // their decision streams.
             return;
         }
         let (horizon, scan) = self.horizon_probe();
@@ -934,9 +935,9 @@ impl Core {
         });
     }
 
-    /// Replays a park's deferred ticks — the exact per-cycle effects
-    /// [`Core::bulk_advance`] applies for a skipped span, except the
-    /// cycle counter, which already advanced tick by tick. Idempotent;
+    /// Replays a park's deferred ticks — the exact per-cycle effects of
+    /// the idle span, except the cycle counter, which already advanced
+    /// tick by tick (or by [`Core::bulk_advance`]). Idempotent;
     /// called from every external entry point that could invalidate the
     /// memoized horizon, and by the run loop before it returns.
     pub(crate) fn unpark(&mut self) {
@@ -962,9 +963,7 @@ impl Core {
     }
 
     /// Whether the core has fully wound down (the condition under which
-    /// [`Core::tick`] latches `drained`). Also consulted by the
-    /// fast-forward horizon probe: a core about to latch must take one
-    /// live tick so the transition lands on the same cycle either way.
+    /// [`Core::tick`] latches `drained`).
     fn quiescent(&self) -> bool {
         !self.has_faults
             && self.wavefronts.iter().all(|w| !w.active)
@@ -978,41 +977,25 @@ impl Core {
     }
 
     /// First cycle at which ticking this core is *not* a pure, replicable
-    /// idle bump — the core's contribution to the GPU fast-forward
-    /// horizon. Returns `self.cycle` ("now") when the next tick does real
-    /// work (or consumes a fault draw), `u64::MAX` when nothing core-local
-    /// will ever happen again (drained, or stalled purely on external
-    /// events), and an exact future cycle when the only pending work is a
-    /// timer expiry (arithmetic completion, fast-fetch arrival, FU
-    /// busy-until, shared-memory latency, texture sampler).
+    /// idle bump: `self.cycle` ("now") when the next tick does real work
+    /// (or consumes a fault draw), `u64::MAX` when the core is stalled
+    /// purely on external events, and an exact future cycle when the only
+    /// pending work is a timer expiry (arithmetic completion, fast-fetch
+    /// arrival, FU busy-until, shared-memory latency, texture sampler).
+    /// Also returns the [`IssueScan`] when the probe got far enough to run
+    /// it (`Some` exactly when the returned horizon is in the future); the
+    /// park memoizes its classification.
     ///
-    /// Every cycle in `[now, horizon)` must charge the same stall bucket
-    /// and profiler site as a live tick would — guaranteed because any
-    /// state change that could alter the [`Core::issue_scan`] outcome is
-    /// itself an event that returns `now` here (or arrives through
-    /// [`Core::push_l1_mem_rsp`], which the GPU-level hierarchy horizon
-    /// bounds).
-    pub fn next_event_cycle(&self) -> u64 {
-        if let Some(p) = &self.park {
-            // Return the horizon memoized at park time rather than
-            // recomputing: the texture sampler countdowns are *relative*
-            // and stale while their decrements sit deferred in the park,
-            // so a live recomputation would over-report the horizon.
-            return p.until;
-        }
-        self.horizon_probe().0
-    }
-
-    /// The horizon computation behind [`Core::next_event_cycle`], also
-    /// returning the [`IssueScan`] when the probe got far enough to run
-    /// it (`Some` exactly when the returned horizon is in the future) —
-    /// the park probe memoizes that scan's classification.
+    /// Every cycle in `[now, horizon)` charges the same stall bucket and
+    /// profiler site as a live tick would: any state change that could
+    /// alter the [`Core::issue_scan`] outcome is itself an event that
+    /// returns "now" here, or arrives through an entry point that unparks
+    /// ([`Core::push_l1_mem_rsp`], bounded by the hierarchy's horizon).
+    ///
+    /// The one caller is [`Core::try_park`], which runs only after
+    /// [`Core::tick`] found the core neither drained nor quiescent.
     fn horizon_probe(&self) -> (u64, Option<IssueScan>) {
         let now = self.cycle;
-        if self.drained {
-            // The drained tick is exactly `ibuffer_empty += 1; cycle += 1`.
-            return (u64::MAX, None);
-        }
         // Any fault plan attached to this core draws at fixed per-tick
         // sites (the cache offers) — skipping would desync the
         // audited decision streams, so faulted cores never fast-forward.
@@ -1033,11 +1016,6 @@ impl Core {
             && self.dcache.is_idle()
             && self.smem.is_idle()
         {
-            return (now, None);
-        }
-        // Quiescence transition pending: take one live tick so `drained`
-        // latches on the same cycle with skipping on or off.
-        if self.quiescent() {
             return (now, None);
         }
         // Fetch would engage the (stateful) scheduler.
@@ -1080,49 +1058,34 @@ impl Core {
         (horizon.min(tex), Some(scan))
     }
 
-    /// Advances the core by `delta` cycles in one step, reproducing bit for
-    /// bit what `delta` consecutive live ticks would have done. Only legal
-    /// when [`Core::next_event_cycle`] returned a horizon `>= cycle +
-    /// delta`: under that guarantee every skipped tick classifies the
-    /// stall identically, so the whole span collapses to one bucket bump.
+    /// The first cycle this core must tick live, when it has already
+    /// proven the ticks before it idle: `u64::MAX` once drained, the park
+    /// horizon while parked, and `None` while the core ticks live. The
+    /// GPU-level jump consults only this, so the park probe is the one
+    /// horizon computation.
+    pub fn idle_until(&self) -> Option<u64> {
+        if self.drained {
+            return Some(u64::MAX);
+        }
+        self.park.as_ref().map(|p| p.until)
+    }
+
+    /// Advances a parked or drained core by `delta` cycles in one step,
+    /// reproducing bit for bit what `delta` consecutive ticks would have
+    /// done. A parked core defers the span into its park, so
+    /// [`Core::unpark`] replays it with the rest. Only legal when
+    /// [`Core::idle_until`] returned a horizon `>= cycle + delta`.
+    ///
+    /// # Panics
+    /// On a core that is neither parked nor drained.
     pub fn bulk_advance(&mut self, delta: u64) {
         if self.drained {
             self.stats.stalls.ibuffer_empty += delta;
-            self.cycle += delta;
-            return;
-        }
-        if let Some(p) = &mut self.park {
-            // The GPU-level horizon consulted this core's memoized
-            // `until`, so `delta` keeps us inside the parked span: defer
-            // the whole jump into the park (every replayed effect is
-            // additive over sub-spans).
+        } else {
+            let p = self.park.as_mut().expect("bulk_advance on a live core");
             debug_assert!(self.cycle + delta <= p.until);
             p.delta += delta;
-            self.cycle += delta;
-            return;
         }
-        // Live idle ticks open each cycle by clearing the caches'
-        // serialized arbitration claims; replay that so snapshots taken
-        // after a skipped span match the unskipped bytes.
-        self.icache.begin_cycle();
-        self.dcache.begin_cycle();
-        let scan = self.issue_scan();
-        debug_assert!(scan.picked.is_none(), "bulk_advance over an issuable span");
-        let (scoreboard, fu) = (scan.scoreboard_blocked.is_some(), scan.fu_blocked.is_some());
-        self.stats.stalls.charge(scoreboard, fu, delta);
-        if let Some(p) = self.profile.as_deref_mut() {
-            // Same attribution site as the issue stage's no-pick path.
-            if let Some(slot) = scan.stall_wid().and_then(|w| self.front.front(w)) {
-                p.record_stall_n(
-                    slot.pc,
-                    || vortex_isa::encode(&slot.instr),
-                    scoreboard,
-                    delta,
-                );
-            }
-        }
-        self.smem.advance(delta);
-        self.tex_unit.bulk_advance(delta);
         self.cycle += delta;
     }
 
@@ -1133,14 +1096,6 @@ impl Core {
     /// resume variants prove the streams stayed per-site deterministic.
     pub fn fault_draws(&self) -> u64 {
         self.icache.fault_draws() + self.dcache.fault_draws()
-    }
-
-    /// Wavefront-instructions issued so far — the incrementally maintained
-    /// counter, readable without the full [`Core::stats_snapshot`] fold.
-    /// The GPU's fast-forward probe gate compares this across cycles as a
-    /// cheap "was anything issued" test.
-    pub fn instrs_issued(&self) -> u64 {
-        self.stats.instrs
     }
 
     /// The core's performance counters, with the cycle count and the

@@ -71,26 +71,7 @@ pub struct Gpu {
     cycles_skipped: u64,
     /// Number of fast-forward jumps taken (same host-only status).
     skip_events: u64,
-    /// Fast-forward probe backoff: cycles left before the next horizon
-    /// probe. A failed probe costs a full component scan, so stretches of
-    /// consecutive failures (cache pipelines walking, barrier waits)
-    /// re-arm this and probe 1-in-[`FF_PROBE_BACKOFF`] cycles instead of
-    /// every cycle, at the price of entering an idle span a few cycles
-    /// late. Any issued instruction resets it (see [`Gpu::ff_instr_mark`])
-    /// so a fresh stall span is probed on its very first cycle. Host-only
-    /// state like the skip counters.
-    ff_backoff: u64,
-    /// Total wavefront-instructions across cores at the last fast-forward
-    /// probe decision. While this is moving the machine is issuing — the
-    /// horizon would be `now` — so the probe degenerates to this one
-    /// counter compare; the full component scan only runs on cycles in
-    /// which no core issued.
-    ff_instr_mark: u64,
 }
-
-/// Live cycles to wait after a failed fast-forward probe before probing
-/// again (see [`Gpu::ff_backoff`]).
-const FF_PROBE_BACKOFF: u64 = 3;
 
 impl Gpu {
     /// Builds a GPU from `config` with zeroed memory.
@@ -134,8 +115,6 @@ impl Gpu {
             release_scratch: Vec::new(),
             cycles_skipped: 0,
             skip_events: 0,
-            ff_backoff: 0,
-            ff_instr_mark: 0,
             config,
         }
     }
@@ -352,8 +331,6 @@ impl Gpu {
                     // the snapshot; carry it across the rebuild by hand.
                     fresh.cycles_skipped = self.cycles_skipped;
                     fresh.skip_events = self.skip_events;
-                    fresh.ff_backoff = self.ff_backoff;
-                    fresh.ff_instr_mark = self.ff_instr_mark;
                     fresh.decode_memo = self.decode_memo.take();
                     *self = fresh;
                 }
@@ -381,11 +358,12 @@ impl Gpu {
             if self.cycle >= max_cycles {
                 return Err(SimError::Timeout { cycles: self.cycle });
             }
-            // Fast-forward: when every component agrees nothing observable
-            // happens before cycle H, jump there in one step and run the
-            // same post-cycle checks a live tick would. A jump clamped by
-            // a telemetry window or watchdog deadline retries on the next
-            // iteration, so one span may take several jumps.
+            // Fast-forward: when every core has parked or drained and the
+            // hierarchy agrees nothing observable happens before cycle H,
+            // jump there in one step and run the same post-cycle checks a
+            // live tick would. A jump clamped by a telemetry window or
+            // watchdog deadline retries on the next iteration, so one span
+            // may take several jumps.
             if !self.try_fast_forward(max_cycles) {
                 self.step()?;
             }
@@ -419,21 +397,17 @@ impl Gpu {
     }
 
     /// The fast-forward horizon: the first cycle the machine must tick
-    /// live, as the minimum of every component's next-event report clamped
-    /// by the host-visible deadlines (cycle budget, next watchdog
-    /// evaluation, next telemetry window close). Any cycle strictly before
-    /// the returned horizon is a provably idle tick whose counter effects
-    /// [`Core::bulk_advance`] replays exactly.
-    fn ff_horizon(&self, max_cycles: u64) -> u64 {
-        let now = self.cycle;
-        let mut horizon = self.hierarchy.next_event_cycle(now);
+    /// live, or `None` while any core is live. Parked and drained cores
+    /// have already proven their idle spans ([`Core::idle_until`]); the
+    /// minimum of those and the hierarchy's next event is clamped by the
+    /// host-visible deadlines (cycle budget, next watchdog evaluation,
+    /// next telemetry window close).
+    fn ff_horizon(&self, max_cycles: u64) -> Option<u64> {
+        let mut horizon = max_cycles;
         for core in &self.cores {
-            if horizon <= now + 1 {
-                return horizon; // nothing to skip; stop probing
-            }
-            horizon = horizon.min(core.next_event_cycle());
+            horizon = horizon.min(core.idle_until()?);
         }
-        horizon = horizon.min(max_cycles);
+        horizon = horizon.min(self.hierarchy.next_event_cycle(self.cycle));
         // The live loop evaluates the progress token at exactly
         // `last_progress_cycle + window`; a skip must not jump past it.
         if self.config.watchdog_cycles != 0 {
@@ -445,53 +419,29 @@ impl Gpu {
         if let Some(tel) = &self.telemetry {
             horizon = horizon.min(tel.next_due());
         }
-        horizon
-    }
-
-    /// The cheap front half of a fast-forward probe: `true` when the full
-    /// horizon scan is worth running this cycle, given `issued` (the
-    /// current total of wavefront-instructions across cores). Any issue
-    /// since the last decision means the machine is busy — the scan would
-    /// return `now` — so the probe costs one counter compare and re-arms
-    /// for the first cycle of the next stall span. Only runs of
-    /// consecutive *failed* scans back off. Deterministic: `issued` is
-    /// simulated state, so the jump schedule is a function of the
-    /// simulation alone.
-    fn ff_probe_due(&mut self, issued: u64) -> bool {
-        if issued != self.ff_instr_mark {
-            self.ff_instr_mark = issued;
-            self.ff_backoff = 0;
-            return false;
-        }
-        if self.ff_backoff > 0 {
-            self.ff_backoff -= 1;
-            return false;
-        }
-        true
+        Some(horizon)
     }
 
     /// Attempts one fast-forward jump. Returns `true` and advances the
-    /// machine to the horizon when a skip of at least two cycles is
-    /// possible; otherwise leaves the machine untouched.
+    /// machine to the horizon when every core is parked or drained and a
+    /// skip of at least two cycles is possible; otherwise leaves the
+    /// machine untouched. The skipped ticks land in each park's deferred
+    /// count, so [`Core::unpark`] is their only replay.
     fn try_fast_forward(&mut self, max_cycles: u64) -> bool {
         if !self.config.fast_forward {
             return false;
         }
-        let issued = self.cores.iter().map(Core::instrs_issued).sum();
-        if !self.ff_probe_due(issued) {
-            return false;
-        }
         let now = self.cycle;
-        let horizon = self.ff_horizon(max_cycles);
+        let Some(horizon) = self.ff_horizon(max_cycles) else {
+            return false;
+        };
         if horizon <= now.saturating_add(1) {
-            self.ff_backoff = FF_PROBE_BACKOFF;
             return false;
         }
         let delta = horizon - now;
         for core in &mut self.cores {
             core.bulk_advance(delta);
         }
-        // (A skipped span issues nothing, so `ff_instr_mark` stays valid.)
         self.hierarchy.bulk_advance(delta);
         self.cycle = horizon;
         self.cycles_skipped += delta;

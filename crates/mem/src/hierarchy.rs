@@ -899,6 +899,45 @@ mod tests {
         assert_eq!(h.dram_reads(), 1, "L3 must coalesce the line fill");
     }
 
+    /// One shared-level tick can retire several accesses (one per bank
+    /// stage): every response it produces reaches its port on that tick,
+    /// not one per tick behind a growing backlog.
+    #[test]
+    fn shared_level_routes_every_response_of_a_tick() {
+        let mut l2 = SharedLevel::new(l2_default(), 2);
+        // Lines 0 and 1 sit in different banks; port p reads line p.
+        let mut round = |tags: [Tag; 2]| {
+            for (port, addr) in [0x000, 0x040].into_iter().enumerate() {
+                l2.push_req(port, MemReq::read(tags[port], addr)).unwrap();
+            }
+            for _ in 0..100 {
+                l2.begin_cycle();
+                l2.tick();
+                // Fill every miss from an ideal next level.
+                let n = l2.cache.mem_req_count();
+                let fills: Vec<_> = l2.cache.drain_mem_reqs(n).collect();
+                for req in fills.into_iter().filter(|r| !r.write) {
+                    l2.cache.push_mem_rsp(MemRsp { tag: req.tag });
+                }
+                if l2.rsp_out.iter().any(|q| !q.is_empty()) {
+                    return l2
+                        .rsp_out
+                        .iter_mut()
+                        .map(|q| q.drain(..).map(|r| r.tag).collect())
+                        .collect::<Vec<Vec<Tag>>>();
+                }
+            }
+            panic!("no response within 100 ticks");
+        };
+        // Warm both lines; the second round's reads then hit in parallel.
+        round([1, 2]);
+        assert_eq!(
+            round([3, 4]),
+            vec![vec![3], vec![4]],
+            "both same-cycle hits reach their ports on one tick"
+        );
+    }
+
     /// Routing slots are recycled LIFO; cycling far more requests than
     /// the table holds must neither grow it nor misroute a response.
     #[test]
