@@ -730,10 +730,7 @@ impl Assembler {
                     let rel = dest - pc as i64;
                     let low = ((rel as i32) << 20) >> 20;
                     let high = (rel as i32).wrapping_sub(low);
-                    image.push(encode(&Instr::Auipc {
-                        rd: *rd,
-                        imm: high,
-                    }));
+                    image.push(encode(&Instr::Auipc { rd: *rd, imm: high }));
                     image.push(encode(&Instr::OpImm {
                         op: OpImmKind::Addi,
                         rd: *rd,
@@ -803,7 +800,18 @@ mod tests {
 
     #[test]
     fn li_covers_full_range() {
-        for &v in &[0, 1, -1, 2047, -2048, 2048, -2049, 0x1234_5678, i32::MIN, i32::MAX] {
+        for &v in &[
+            0,
+            1,
+            -1,
+            2047,
+            -2048,
+            2048,
+            -2049,
+            0x1234_5678,
+            i32::MIN,
+            i32::MAX,
+        ] {
             let mut a = Assembler::new();
             a.li(Reg::X6, v);
             let p = a.assemble(0).unwrap();

@@ -170,7 +170,13 @@ impl fmt::Display for Instr {
             Split { rs1 } => write!(f, "split {rs1}"),
             Join => write!(f, "join"),
             Bar { rs1, rs2 } => write!(f, "bar {rs1}, {rs2}"),
-            Tex { rd, u, v, lod, stage } => write!(f, "tex.{stage} {rd}, {u}, {v}, {lod}"),
+            Tex {
+                rd,
+                u,
+                v,
+                lod,
+                stage,
+            } => write!(f, "tex.{stage} {rd}, {u}, {v}, {lod}"),
         }
     }
 }

@@ -266,7 +266,13 @@ pub fn encode(instr: &Instr) -> u32 {
         Split { rs1 } => r_type(0, 0, rs1.into(), vx::F3_SPLIT, 0, vx::OPCODE),
         Join => r_type(0, 0, 0, vx::F3_JOIN, 0, vx::OPCODE),
         Bar { rs1, rs2 } => r_type(0, rs2.into(), rs1.into(), vx::F3_BAR, 0, vx::OPCODE),
-        Tex { rd, u, v, lod, stage } => r4_type(
+        Tex {
+            rd,
+            u,
+            v,
+            lod,
+            stage,
+        } => r4_type(
             lod.into(),
             u32::from(stage) & 0b11,
             v.into(),

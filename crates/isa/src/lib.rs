@@ -43,8 +43,8 @@ pub mod vx;
 pub use decode::{decode, DecodeError};
 pub use encode::encode;
 pub use instr::{
-    BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth, OpImmKind,
-    OpKind, RoundMode, StoreWidth,
+    BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth, OpImmKind, OpKind,
+    RoundMode, StoreWidth,
 };
 pub use reg::{FReg, Reg};
 

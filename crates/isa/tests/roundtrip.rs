@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use vortex_isa::{
-    decode, encode, BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, FReg, Instr,
+    decode, encode, BranchCond, CsrKind, CsrSrc, FReg, FmaKind, FpCmpKind, FpOpKind, Instr,
     LoadWidth, OpImmKind, OpKind, Reg, RoundMode, StoreWidth,
 };
 
@@ -91,7 +91,11 @@ fn any_instr() -> impl Strategy<Value = Instr> {
         Just(LoadWidth::Bu),
         Just(LoadWidth::Hu),
     ];
-    let sw = prop_oneof![Just(StoreWidth::B), Just(StoreWidth::H), Just(StoreWidth::W)];
+    let sw = prop_oneof![
+        Just(StoreWidth::B),
+        Just(StoreWidth::H),
+        Just(StoreWidth::W)
+    ];
     let fma = prop_oneof![
         Just(FmaKind::Madd),
         Just(FmaKind::Msub),
@@ -128,31 +132,84 @@ fn any_instr() -> impl Strategy<Value = Instr> {
         (any_reg(), upper_imm()).prop_map(|(rd, imm)| Instr::Lui { rd, imm }),
         (any_reg(), upper_imm()).prop_map(|(rd, imm)| Instr::Auipc { rd, imm }),
         (any_reg(), jal_off()).prop_map(|(rd, offset)| Instr::Jal { rd, offset }),
-        (any_reg(), any_reg(), imm12())
-            .prop_map(|(rd, rs1, offset)| Instr::Jalr { rd, rs1, offset }),
-        (branch, any_reg(), any_reg(), branch_off())
-            .prop_map(|(cond, rs1, rs2, offset)| Instr::Branch { cond, rs1, rs2, offset }),
-        (lw, any_reg(), any_reg(), imm12())
-            .prop_map(|(width, rd, rs1, offset)| Instr::Load { width, rd, rs1, offset }),
-        (sw, any_reg(), any_reg(), imm12())
-            .prop_map(|(width, rs1, rs2, offset)| Instr::Store { width, rs1, rs2, offset }),
-        (op_imm, any_reg(), any_reg(), imm12())
-            .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
-        (shift, any_reg(), any_reg(), 0i32..32)
-            .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
-        (op, any_reg(), any_reg(), any_reg())
-            .prop_map(|(op, rd, rs1, rs2)| Instr::Op { op, rd, rs1, rs2 }),
+        (any_reg(), any_reg(), imm12()).prop_map(|(rd, rs1, offset)| Instr::Jalr {
+            rd,
+            rs1,
+            offset
+        }),
+        (branch, any_reg(), any_reg(), branch_off()).prop_map(|(cond, rs1, rs2, offset)| {
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            }
+        }),
+        (lw, any_reg(), any_reg(), imm12()).prop_map(|(width, rd, rs1, offset)| Instr::Load {
+            width,
+            rd,
+            rs1,
+            offset
+        }),
+        (sw, any_reg(), any_reg(), imm12()).prop_map(|(width, rs1, rs2, offset)| Instr::Store {
+            width,
+            rs1,
+            rs2,
+            offset
+        }),
+        (op_imm, any_reg(), any_reg(), imm12()).prop_map(|(op, rd, rs1, imm)| Instr::OpImm {
+            op,
+            rd,
+            rs1,
+            imm
+        }),
+        (shift, any_reg(), any_reg(), 0i32..32).prop_map(|(op, rd, rs1, imm)| Instr::OpImm {
+            op,
+            rd,
+            rs1,
+            imm
+        }),
+        (op, any_reg(), any_reg(), any_reg()).prop_map(|(op, rd, rs1, rs2)| Instr::Op {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
         Just(Instr::Fence),
         Just(Instr::Ecall),
         Just(Instr::Ebreak),
-        (csrk, any_reg(), 0u16..4096, csr_src)
-            .prop_map(|(kind, rd, csr, src)| Instr::Csr { kind, rd, csr, src }),
-        (any_freg(), any_reg(), imm12())
-            .prop_map(|(rd, rs1, offset)| Instr::Flw { rd, rs1, offset }),
-        (any_reg(), any_freg(), imm12())
-            .prop_map(|(rs1, rs2, offset)| Instr::Fsw { rs1, rs2, offset }),
-        (fma, any_freg(), any_freg(), any_freg(), any_freg(), any_rm())
-            .prop_map(|(kind, rd, rs1, rs2, rs3, rm)| Instr::Fma { kind, rd, rs1, rs2, rs3, rm }),
+        (csrk, any_reg(), 0u16..4096, csr_src).prop_map(|(kind, rd, csr, src)| Instr::Csr {
+            kind,
+            rd,
+            csr,
+            src
+        }),
+        (any_freg(), any_reg(), imm12()).prop_map(|(rd, rs1, offset)| Instr::Flw {
+            rd,
+            rs1,
+            offset
+        }),
+        (any_reg(), any_freg(), imm12()).prop_map(|(rs1, rs2, offset)| Instr::Fsw {
+            rs1,
+            rs2,
+            offset
+        }),
+        (
+            fma,
+            any_freg(),
+            any_freg(),
+            any_freg(),
+            any_freg(),
+            any_rm()
+        )
+            .prop_map(|(kind, rd, rs1, rs2, rs3, rm)| Instr::Fma {
+                kind,
+                rd,
+                rs1,
+                rs2,
+                rs3,
+                rm
+            }),
         (fpop, any_freg(), any_freg(), any_freg(), any_rm()).prop_map(|(op, rd, rs1, rs2, rm)| {
             // `rm` is a don't-care for sign-injection and min/max: the
             // encoding uses funct3 as the op selector there, so the decoder
@@ -165,7 +222,13 @@ fn any_instr() -> impl Strategy<Value = Instr> {
             } else {
                 rm
             };
-            Instr::FpOp { op, rd, rs1, rs2, rm }
+            Instr::FpOp {
+                op,
+                rd,
+                rs1,
+                rs2,
+                rm,
+            }
         }),
         (any_freg(), any_freg(), any_rm()).prop_map(|(rd, rs1, rm)| Instr::FpOp {
             op: FpOpKind::Sqrt,
@@ -174,12 +237,28 @@ fn any_instr() -> impl Strategy<Value = Instr> {
             rs2: FReg::X0,
             rm
         }),
-        (fcmp, any_reg(), any_freg(), any_freg())
-            .prop_map(|(op, rd, rs1, rs2)| Instr::FpCmp { op, rd, rs1, rs2 }),
-        (any::<bool>(), any_reg(), any_freg(), any_rm())
-            .prop_map(|(signed, rd, rs1, rm)| Instr::FpToInt { signed, rd, rs1, rm }),
-        (any::<bool>(), any_freg(), any_reg(), any_rm())
-            .prop_map(|(signed, rd, rs1, rm)| Instr::IntToFp { signed, rd, rs1, rm }),
+        (fcmp, any_reg(), any_freg(), any_freg()).prop_map(|(op, rd, rs1, rs2)| Instr::FpCmp {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
+        (any::<bool>(), any_reg(), any_freg(), any_rm()).prop_map(|(signed, rd, rs1, rm)| {
+            Instr::FpToInt {
+                signed,
+                rd,
+                rs1,
+                rm,
+            }
+        }),
+        (any::<bool>(), any_freg(), any_reg(), any_rm()).prop_map(|(signed, rd, rs1, rm)| {
+            Instr::IntToFp {
+                signed,
+                rd,
+                rs1,
+                rm,
+            }
+        }),
         (any_reg(), any_freg()).prop_map(|(rd, rs1)| Instr::FmvToInt { rd, rs1 }),
         (any_freg(), any_reg()).prop_map(|(rd, rs1)| Instr::FmvFromInt { rd, rs1 }),
         (any_reg(), any_freg()).prop_map(|(rd, rs1)| Instr::FClass { rd, rs1 }),
@@ -188,8 +267,15 @@ fn any_instr() -> impl Strategy<Value = Instr> {
         any_reg().prop_map(|rs1| Instr::Split { rs1 }),
         Just(Instr::Join),
         (any_reg(), any_reg()).prop_map(|(rs1, rs2)| Instr::Bar { rs1, rs2 }),
-        (any_reg(), any_reg(), any_reg(), any_reg(), 0u8..4)
-            .prop_map(|(rd, u, v, lod, stage)| Instr::Tex { rd, u, v, lod, stage }),
+        (any_reg(), any_reg(), any_reg(), any_reg(), 0u8..4).prop_map(|(rd, u, v, lod, stage)| {
+            Instr::Tex {
+                rd,
+                u,
+                v,
+                lod,
+                stage,
+            }
+        }),
     ]
 }
 
