@@ -4,36 +4,21 @@ use crate::error::AsmError;
 use crate::program::Program;
 use std::collections::HashMap;
 use vortex_isa::{
-    encode, BranchCond, CsrKind, CsrSrc, FReg, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth,
+    try_encode, BranchCond, CsrKind, CsrSrc, FReg, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth,
     OpImmKind, OpKind, Reg, RoundMode, StoreWidth,
 };
 
+/// One word of the image.
 #[derive(Debug, Clone)]
 enum Item {
     /// A fully resolved instruction.
     Fixed(Instr),
-    /// A conditional branch to a label (1 word).
-    Branch {
-        cond: BranchCond,
-        rs1: Reg,
-        rs2: Reg,
-        target: String,
-    },
-    /// `jal rd, label` (1 word).
-    Jump { rd: Reg, target: String },
-    /// `la rd, label` → `auipc` + `addi` (2 words).
-    La { rd: Reg, target: String },
+    /// A branch or `jal` whose offset is that of the label.
+    ToLabel(Instr, String),
+    /// Half of `la rd, label`: the `auipc`, or the `addi` after it (`true`).
+    La(Reg, String, bool),
     /// A raw data word.
     Word(u32),
-}
-
-impl Item {
-    fn words(&self) -> u32 {
-        match self {
-            Item::La { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// Incremental program builder with labels and forward references.
@@ -57,7 +42,12 @@ impl Assembler {
 
     /// Number of words emitted so far.
     pub fn len_words(&self) -> u32 {
-        self.items.iter().map(Item::words).sum()
+        self.items.len() as u32
+    }
+
+    fn push(&mut self, item: Item) -> &mut Self {
+        self.items.push(item);
+        self
     }
 
     /// Defines `name` at the current position.
@@ -83,14 +73,12 @@ impl Assembler {
 
     /// Emits a pre-decoded instruction.
     pub fn raw(&mut self, instr: Instr) -> &mut Self {
-        self.items.push(Item::Fixed(instr));
-        self
+        self.push(Item::Fixed(instr))
     }
 
     /// Emits a raw data word (`.word`).
     pub fn word(&mut self, value: u32) -> &mut Self {
-        self.items.push(Item::Word(value));
-        self
+        self.push(Item::Word(value))
     }
 
     /// Emits an IEEE-754 float constant (`.float`).
@@ -112,11 +100,10 @@ impl Assembler {
 
     /// `jal rd, label`.
     pub fn jal(&mut self, rd: Reg, target: &str) -> &mut Self {
-        self.items.push(Item::Jump {
-            rd,
-            target: target.to_string(),
-        });
-        self
+        self.push(Item::ToLabel(
+            Instr::Jal { rd, offset: 0 },
+            target.to_string(),
+        ))
     }
 
     /// `jalr rd, offset(rs1)`.
@@ -124,45 +111,42 @@ impl Assembler {
         self.raw(Instr::Jalr { rd, rs1, offset })
     }
 
-    fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.items.push(Item::Branch {
-            cond,
-            rs1,
-            rs2,
-            target: target.to_string(),
-        });
-        self
-    }
-
     /// Conditional branch to a label with an explicit condition (the
     /// generic form behind `beq`/`bne`/...).
     pub fn branch_to(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(cond, rs1, rs2, target)
+        let offset = 0;
+        let branch = Instr::Branch {
+            cond,
+            rs1,
+            rs2,
+            offset,
+        };
+        self.push(Item::ToLabel(branch, target.to_string()))
     }
 
     /// `beq rs1, rs2, label`.
     pub fn beq(&mut self, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(BranchCond::Eq, rs1, rs2, target)
+        self.branch_to(BranchCond::Eq, rs1, rs2, target)
     }
     /// `bne rs1, rs2, label`.
     pub fn bne(&mut self, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(BranchCond::Ne, rs1, rs2, target)
+        self.branch_to(BranchCond::Ne, rs1, rs2, target)
     }
     /// `blt rs1, rs2, label`.
     pub fn blt(&mut self, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(BranchCond::Lt, rs1, rs2, target)
+        self.branch_to(BranchCond::Lt, rs1, rs2, target)
     }
     /// `bge rs1, rs2, label`.
     pub fn bge(&mut self, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(BranchCond::Ge, rs1, rs2, target)
+        self.branch_to(BranchCond::Ge, rs1, rs2, target)
     }
     /// `bltu rs1, rs2, label`.
     pub fn bltu(&mut self, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(BranchCond::Ltu, rs1, rs2, target)
+        self.branch_to(BranchCond::Ltu, rs1, rs2, target)
     }
     /// `bgeu rs1, rs2, label`.
     pub fn bgeu(&mut self, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.branch(BranchCond::Geu, rs1, rs2, target)
+        self.branch_to(BranchCond::Geu, rs1, rs2, target)
     }
 
     fn load(&mut self, width: LoadWidth, rd: Reg, rs1: Reg, offset: i32) -> &mut Self {
@@ -628,11 +612,12 @@ impl Assembler {
 
     /// `li rd, imm` — loads any 32-bit constant (1 or 2 instructions).
     pub fn li(&mut self, rd: Reg, imm: i32) -> &mut Self {
-        if (-2048..2048).contains(&imm) {
+        // The low 12 bits, sign-extended: all of `imm` when it fits addi.
+        let low = (imm << 20) >> 20;
+        if low == imm {
             return self.addi(rd, Reg::X0, imm);
         }
         // lui + addi with carry correction for a negative low part.
-        let low = (imm << 20) >> 20;
         let high = imm.wrapping_sub(low) as u32;
         self.lui(rd, high as i32);
         if low != 0 {
@@ -649,10 +634,9 @@ impl Assembler {
 
     /// `la rd, label` — loads the absolute address of a label (2 words).
     pub fn la(&mut self, rd: Reg, target: &str) -> &mut Self {
-        self.items.push(Item::La {
-            rd,
-            target: target.to_string(),
-        });
+        for low in [false, true] {
+            self.push(Item::La(rd, target.to_string(), low));
+        }
         self
     }
 
@@ -661,97 +645,62 @@ impl Assembler {
     /// Resolves labels and produces the binary image loaded at `base`.
     ///
     /// # Errors
-    /// Fails on undefined labels or out-of-range branch/jump targets.
+    /// Fails on an undefined label, or with [`AsmError::Encode`] on the
+    /// first instruction that has a field its encoding cannot hold.
     pub fn assemble(&self, base: u32) -> Result<Program, AsmError> {
-        // Pass 1: absolute address of every item and label.
-        let mut item_addr = Vec::with_capacity(self.items.len());
-        let mut pc = base;
-        for item in &self.items {
-            item_addr.push(pc);
-            pc += item.words() * 4;
-        }
-        let end_addr = pc;
-        let resolve = |target: &str| -> Result<u32, AsmError> {
-            let &idx = self
-                .labels
-                .get(target)
-                .ok_or_else(|| AsmError::UndefinedLabel(target.to_string()))?;
-            Ok(if idx == self.items.len() {
-                end_addr
-            } else {
-                item_addr[idx]
-            })
+        let addr = |idx: usize| base + 4 * idx as u32;
+        let resolve = |target: &str| match self.labels.get(target) {
+            Some(&idx) => Ok(addr(idx)),
+            None => Err(AsmError::UndefinedLabel(target.to_string())),
         };
-
-        // Pass 2: emit.
+        // Every instruction is encoded through the one range check.
         let mut image = Vec::with_capacity(self.items.len());
         for (i, item) in self.items.iter().enumerate() {
-            let pc = item_addr[i];
-            match item {
-                Item::Fixed(instr) => image.push(encode(instr)),
-                Item::Word(w) => image.push(*w),
-                Item::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                } => {
-                    let dest = resolve(target)?;
-                    let offset = dest as i64 - pc as i64;
-                    if !(-4096..4096).contains(&offset) {
-                        return Err(AsmError::BranchOutOfRange {
-                            label: target.clone(),
-                            offset,
-                        });
+            let pc = addr(i);
+            let instr = match *item {
+                Item::Word(w) => {
+                    image.push(w);
+                    continue;
+                }
+                Item::Fixed(instr) => instr,
+                Item::ToLabel(mut instr, ref target) => {
+                    let rel = i64::from(resolve(target)?) - i64::from(pc);
+                    // Past ±2 GiB it saturates, which no offset field holds.
+                    let rel =
+                        i32::try_from(rel).unwrap_or(if rel < 0 { i32::MIN } else { i32::MAX });
+                    if let Instr::Branch { offset, .. } | Instr::Jal { offset, .. } = &mut instr {
+                        *offset = rel;
                     }
-                    image.push(encode(&Instr::Branch {
-                        cond: *cond,
-                        rs1: *rs1,
-                        rs2: *rs2,
-                        offset: offset as i32,
-                    }));
+                    instr
                 }
-                Item::Jump { rd, target } => {
-                    let dest = resolve(target)?;
-                    let offset = dest as i64 - pc as i64;
-                    if !(-(1 << 20)..(1 << 20)).contains(&offset) {
-                        return Err(AsmError::JumpOutOfRange {
-                            label: target.clone(),
-                            offset,
-                        });
+                Item::La(rd, ref target, low) => {
+                    // Both halves are relative to the auipc, and they add
+                    // modulo 2^32, so every address is in reach.
+                    let auipc_pc = if low { pc - 4 } else { pc };
+                    let rel = resolve(target)?.wrapping_sub(auipc_pc) as i32;
+                    let lo = (rel << 20) >> 20;
+                    if low {
+                        Instr::OpImm {
+                            op: OpImmKind::Addi,
+                            rd,
+                            rs1: rd,
+                            imm: lo,
+                        }
+                    } else {
+                        Instr::Auipc {
+                            rd,
+                            imm: rel.wrapping_sub(lo),
+                        }
                     }
-                    image.push(encode(&Instr::Jal {
-                        rd: *rd,
-                        offset: offset as i32,
-                    }));
                 }
-                Item::La { rd, target } => {
-                    let dest = resolve(target)? as i64;
-                    let rel = dest - pc as i64;
-                    let low = ((rel as i32) << 20) >> 20;
-                    let high = (rel as i32).wrapping_sub(low);
-                    image.push(encode(&Instr::Auipc { rd: *rd, imm: high }));
-                    image.push(encode(&Instr::OpImm {
-                        op: OpImmKind::Addi,
-                        rd: *rd,
-                        rs1: *rd,
-                        imm: low,
-                    }));
-                }
-            }
+            };
+            let word = try_encode(&instr).map_err(|error| AsmError::Encode { pc, instr, error });
+            image.push(word?);
         }
-
         let symbols: HashMap<String, u32> = self
             .labels
             .iter()
-            .map(|(name, &idx)| {
-                let addr = if idx == self.items.len() {
-                    end_addr
-                } else {
-                    item_addr[idx]
-                };
-                (name.clone(), addr)
-            })
+            .map(|(name, &idx)| (name.clone(), addr(idx)))
             .collect();
         let entry = match &self.entry {
             Some(name) => *symbols
@@ -771,6 +720,50 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_isa::{EncodeError, Field};
+
+    /// A value one past a field's limit fails to assemble in every build,
+    /// with an error naming the instruction's PC and the field; the limits
+    /// themselves assemble.
+    #[test]
+    fn unencodable_fields_fail_to_assemble() {
+        type Emit = fn(&mut Assembler) -> &mut Assembler;
+        let probes: [(Emit, Field, i32); 5] = [
+            (|a| a.addi(Reg::X5, Reg::X5, 5000), Field::Imm12, 5000),
+            (|a| a.lw(Reg::X5, Reg::X6, 4096), Field::Imm12, 4096),
+            (|a| a.slli(Reg::X5, Reg::X5, 40), Field::Shamt, 40),
+            (|a| a.csrr(Reg::X5, 0x1ABC), Field::Csr, 0x1ABC),
+            (
+                |a| a.tex(5, Reg::X5, Reg::X6, Reg::X7, Reg::X0),
+                Field::TexStage,
+                5,
+            ),
+        ];
+        for (emit, field, value) in probes {
+            let mut a = Assembler::new();
+            emit(a.nop());
+            let err = a.assemble(0x100).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains("0x104") && msg.contains(&format!("{field:?}")),
+                "{msg}"
+            );
+            match err {
+                AsmError::Encode {
+                    pc: 0x104, error, ..
+                } => {
+                    assert_eq!(error, EncodeError { field, value });
+                }
+                other => panic!("{field:?} {value}: {other:?}"),
+            }
+        }
+        let mut a = Assembler::new();
+        a.addi(Reg::X5, Reg::X5, -2048).addi(Reg::X5, Reg::X5, 2047);
+        a.lw(Reg::X5, Reg::X6, 2047).slli(Reg::X5, Reg::X5, 31);
+        a.csrr(Reg::X5, 0xFFF)
+            .tex(3, Reg::X5, Reg::X6, Reg::X7, Reg::X0);
+        assert_eq!(a.assemble(0).unwrap().image.len(), 6);
+    }
 
     #[test]
     fn forward_and_backward_branches_resolve() {
@@ -859,7 +852,14 @@ mod tests {
         a.beqz(Reg::X0, "start");
         assert!(matches!(
             a.assemble(0),
-            Err(AsmError::BranchOutOfRange { .. })
+            Err(AsmError::Encode {
+                pc: 8000,
+                error: EncodeError {
+                    field: Field::BranchOffset,
+                    value: -8000
+                },
+                ..
+            })
         ));
     }
 

@@ -1,6 +1,7 @@
 //! Assembly error type.
 
 use std::fmt;
+use vortex_isa::{EncodeError, Instr};
 
 /// Error produced while building or assembling a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -9,19 +10,15 @@ pub enum AsmError {
     UndefinedLabel(String),
     /// The same label was defined twice.
     DuplicateLabel(String),
-    /// A branch target is out of the ±4 KiB range of the B-type encoding.
-    BranchOutOfRange {
-        /// The target label.
-        label: String,
-        /// The required byte offset.
-        offset: i64,
-    },
-    /// A jump target is out of the ±1 MiB range of the J-type encoding.
-    JumpOutOfRange {
-        /// The target label.
-        label: String,
-        /// The required byte offset.
-        offset: i64,
+    /// An instruction has a field its encoding cannot hold, such as a
+    /// branch to a label out of B-type reach.
+    Encode {
+        /// Address of the instruction.
+        pc: u32,
+        /// The instruction as intended.
+        instr: Instr,
+        /// The field that does not fit, and its value.
+        error: EncodeError,
     },
     /// Text-assembler syntax error.
     Syntax {
@@ -37,11 +34,8 @@ impl fmt::Display for AsmError {
         match self {
             AsmError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
             AsmError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
-            AsmError::BranchOutOfRange { label, offset } => {
-                write!(f, "branch to `{label}` out of range (offset {offset})")
-            }
-            AsmError::JumpOutOfRange { label, offset } => {
-                write!(f, "jump to `{label}` out of range (offset {offset})")
+            AsmError::Encode { pc, instr, error } => {
+                write!(f, "cannot encode `{instr}` at {pc:#x}: {error}")
             }
             AsmError::Syntax { line, msg } => write!(f, "syntax error at line {line}: {msg}"),
         }

@@ -22,21 +22,7 @@
 use crate::builder::Assembler;
 use crate::error::AsmError;
 use crate::program::Program;
-use std::ops::RangeInclusive;
 use vortex_isa::{FReg, Reg};
-
-/// I- and S-type immediates (ALU immediates and memory offsets).
-const IMM12: RangeInclusive<i32> = -2048..=2047;
-/// Shift amounts.
-const SHAMT: RangeInclusive<i32> = 0..=31;
-/// `lui`/`auipc` upper immediates, before the shift by 12.
-const UIMM20: RangeInclusive<i32> = 0..=0xF_FFFF;
-/// CSR numbers.
-const CSR_NUM: RangeInclusive<i32> = 0..=0xFFF;
-/// B-type branch offsets (even).
-const BRANCH_OFF: RangeInclusive<i32> = -4096..=4094;
-/// J-type `jal` offsets (even).
-const JAL_OFF: RangeInclusive<i32> = -(1 << 20)..=(1 << 20) - 2;
 
 fn syntax(line: usize, msg: impl Into<String>) -> AsmError {
     AsmError::Syntax {
@@ -70,47 +56,27 @@ fn parse_imm(tok: &str, line: usize) -> Result<i32, AsmError> {
     i32::try_from(v).map_err(|_| syntax(line, format!("immediate `{tok}` out of range")))
 }
 
-/// Parses an immediate the instruction encodes in a field of `range`: a
-/// value outside it would be truncated into a different program, so it is
-/// an error rather than silently wrapped.
-fn parse_imm_in(tok: &str, line: usize, range: RangeInclusive<i32>) -> Result<i32, AsmError> {
+/// Parses an operand into the unsigned type of its `Instr` field (a CSR
+/// number or immediate); whether it fits the encoding is the encoder's call.
+fn parse_unsigned<T: TryFrom<i32>>(tok: &str, line: usize) -> Result<T, AsmError> {
+    T::try_from(parse_imm(tok, line)?)
+        .map_err(|_| syntax(line, format!("operand `{tok}` out of range")))
+}
+
+/// Parses a `lui`/`auipc` operand, the upper 20 bits, into the value.
+fn parse_upper(tok: &str, line: usize) -> Result<i32, AsmError> {
     let v = parse_imm(tok, line)?;
-    if range.contains(&v) {
-        Ok(v)
+    if (0..=0xF_FFFF).contains(&v) {
+        Ok(v << 12)
     } else {
         Err(syntax(
             line,
-            format!(
-                "immediate `{tok}` outside {}..={}",
-                range.start(),
-                range.end()
-            ),
+            format!("upper immediate `{tok}` outside 0..=0xfffff"),
         ))
     }
 }
 
-/// Parses a branch or `jal` target: `None` for a label, the offset for a
-/// number, which must be even and within `range`.
-fn parse_target(
-    tok: &str,
-    line: usize,
-    range: RangeInclusive<i32>,
-) -> Result<Option<i32>, AsmError> {
-    let Ok(offset) = parse_imm(tok, line) else {
-        return Ok(None);
-    };
-    if offset % 2 != 0 {
-        return Err(syntax(line, format!("odd target offset `{tok}`")));
-    }
-    parse_imm_in(tok, line, range).map(Some)
-}
-
-/// Parses a CSR number.
-fn parse_csr(tok: &str, line: usize) -> Result<u16, AsmError> {
-    parse_imm_in(tok, line, CSR_NUM).map(|v| v as u16)
-}
-
-/// Splits `off(reg)` into `(offset, reg)`; the offset is a 12-bit immediate.
+/// Splits `off(reg)` into `(offset, reg)`.
 fn parse_mem(tok: &str, line: usize) -> Result<(i32, Reg), AsmError> {
     let open = tok
         .find('(')
@@ -123,7 +89,7 @@ fn parse_mem(tok: &str, line: usize) -> Result<(i32, Reg), AsmError> {
     let offset = if off_str.is_empty() {
         0
     } else {
-        parse_imm_in(off_str, line, IMM12)?
+        parse_imm(off_str, line)?
     };
     Ok((offset, parse_reg(reg_str, line)?))
 }
@@ -131,10 +97,13 @@ fn parse_mem(tok: &str, line: usize) -> Result<(i32, Reg), AsmError> {
 /// Parses assembly text and assembles it at `base`.
 ///
 /// # Errors
-/// Returns [`AsmError::Syntax`] with a line number for malformed input, or
-/// any of the label/range errors from [`Assembler::assemble`].
+/// Returns [`AsmError::Syntax`] with a line number for malformed input or
+/// for a field its encoding cannot hold, or a label error from
+/// [`Assembler::assemble`].
 pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
     let mut a = Assembler::new();
+    // The source line of every word emitted.
+    let mut word_line = Vec::new();
     for (lineno, raw_line) in source.lines().enumerate() {
         let line = lineno + 1;
         // Strip comments.
@@ -188,11 +157,11 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             }};
         }
         macro_rules! rri {
-            ($m:ident, $range:expr) => {{
+            ($m:ident) => {{
                 argc(3)?;
                 let rd = parse_reg(ops[0], line)?;
                 let rs1 = parse_reg(ops[1], line)?;
-                let imm = parse_imm_in(ops[2], line, $range)?;
+                let imm = parse_imm(ops[2], line)?;
                 a.$m(rd, rs1, imm);
             }};
         }
@@ -220,7 +189,7 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                 // Target may be a label or a numeric byte offset (the
                 // disassembler prints offsets, so this keeps
                 // parse(disassemble(p)) == p).
-                if let Some(offset) = parse_target(ops[2], line, BRANCH_OFF)? {
+                if let Ok(offset) = parse_imm(ops[2], line) {
                     a.raw(vortex_isa::Instr::Branch {
                         cond: $cond,
                         rs1,
@@ -268,15 +237,15 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "divu" => rrr!(divu),
             "rem" => rrr!(rem),
             "remu" => rrr!(remu),
-            "addi" => rri!(addi, IMM12),
-            "slti" => rri!(slti, IMM12),
-            "sltiu" => rri!(sltiu, IMM12),
-            "xori" => rri!(xori, IMM12),
-            "ori" => rri!(ori, IMM12),
-            "andi" => rri!(andi, IMM12),
-            "slli" => rri!(slli, SHAMT),
-            "srli" => rri!(srli, SHAMT),
-            "srai" => rri!(srai, SHAMT),
+            "addi" => rri!(addi),
+            "slti" => rri!(slti),
+            "sltiu" => rri!(sltiu),
+            "xori" => rri!(xori),
+            "ori" => rri!(ori),
+            "andi" => rri!(andi),
+            "slli" => rri!(slli),
+            "srli" => rri!(srli),
+            "srai" => rri!(srai),
             "lb" => load!(lb),
             "lh" => load!(lh),
             "lw" => load!(lw),
@@ -298,14 +267,12 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "lui" => {
                 argc(2)?;
                 let rd = parse_reg(ops[0], line)?;
-                let imm = parse_imm_in(ops[1], line, UIMM20)?;
-                a.lui(rd, imm << 12);
+                a.lui(rd, parse_upper(ops[1], line)?);
             }
             "auipc" => {
                 argc(2)?;
                 let rd = parse_reg(ops[0], line)?;
-                let imm = parse_imm_in(ops[1], line, UIMM20)?;
-                a.auipc(rd, imm << 12);
+                a.auipc(rd, parse_upper(ops[1], line)?);
             }
             "jal" => match ops.len() {
                 1 => {
@@ -313,7 +280,7 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                 }
                 2 => {
                     let rd = parse_reg(ops[0], line)?;
-                    if let Some(offset) = parse_target(ops[1], line, JAL_OFF)? {
+                    if let Ok(offset) = parse_imm(ops[1], line) {
                         a.raw(vortex_isa::Instr::Jal { rd, offset });
                     } else {
                         a.jal(rd, ops[1]);
@@ -397,17 +364,17 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "csrr" => {
                 argc(2)?;
                 let rd = parse_reg(ops[0], line)?;
-                a.csrr(rd, parse_csr(ops[1], line)?);
+                a.csrr(rd, parse_unsigned(ops[1], line)?);
             }
             "csrw" => {
                 argc(2)?;
-                let csr = parse_csr(ops[0], line)?;
+                let csr = parse_unsigned(ops[0], line)?;
                 a.csrw(csr, parse_reg(ops[1], line)?);
             }
             "csrrw" | "csrrs" | "csrrc" => {
                 argc(3)?;
                 let rd = parse_reg(ops[0], line)?;
-                let csr = parse_csr(ops[1], line)?;
+                let csr = parse_unsigned(ops[1], line)?;
                 let rs1 = parse_reg(ops[2], line)?;
                 match mnemonic {
                     "csrrw" => a.csrrw(rd, csr, rs1),
@@ -533,9 +500,6 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                         .map_err(|_| syntax(line, format!("bad texture stage in `{m}`")))?,
                     None => 0,
                 };
-                if usize::from(stage) >= vortex_isa::csr::TEX_STAGES {
-                    return Err(syntax(line, format!("no texture stage {stage} in `{m}`")));
-                }
                 let rd = parse_reg(ops[0], line)?;
                 let u = parse_reg(ops[1], line)?;
                 let v = parse_reg(ops[2], line)?;
@@ -621,11 +585,8 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
             "csrrwi" | "csrrsi" | "csrrci" => {
                 argc(3)?;
                 let rd = parse_reg(ops[0], line)?;
-                let csr_addr = parse_csr(ops[1], line)?;
-                let imm = parse_imm(ops[2], line)?;
-                if !(0..32).contains(&imm) {
-                    return Err(syntax(line, "CSR immediate must be in 0..32"));
-                }
+                let csr_addr = parse_unsigned(ops[1], line)?;
+                let imm = parse_unsigned(ops[2], line)?;
                 let kind = match mnemonic {
                     "csrrwi" => vortex_isa::CsrKind::ReadWrite,
                     "csrrsi" => vortex_isa::CsrKind::ReadSet,
@@ -635,14 +596,21 @@ pub fn parse_asm(source: &str, base: u32) -> Result<Program, AsmError> {
                     kind,
                     rd,
                     csr: csr_addr,
-                    src: vortex_isa::CsrSrc::Imm(imm as u8),
+                    src: vortex_isa::CsrSrc::Imm(imm),
                 });
             }
             ".text" | ".globl" | ".global" | ".align" | ".section" => { /* ignored */ }
             other => return Err(syntax(line, format!("unknown mnemonic `{other}`"))),
         }
+        word_line.resize(a.len_words() as usize, line);
     }
-    a.assemble(base)
+    a.assemble(base).map_err(|e| match e {
+        AsmError::Encode { pc, .. } => syntax(
+            word_line[(pc.wrapping_sub(base) / 4) as usize],
+            e.to_string(),
+        ),
+        e => e,
+    })
 }
 
 #[cfg(test)]
@@ -743,6 +711,26 @@ mod tests {
             assert!(
                 matches!(err, AsmError::Syntax { line: 2, .. }),
                 "`{src}`: {err}"
+            );
+        }
+    }
+
+    /// A field the encoder rejects is a `Syntax` error on its own line,
+    /// also after lines that emit two words each (`la`, a wide `li`).
+    #[test]
+    fn unencodable_fields_are_errors_on_their_line() {
+        for probe in [
+            "addi x5,x5,5000",
+            "lw x5,4096(x6)",
+            "slli x5,x5,40",
+            "csrr x5,0x1abc",
+            "tex.5 x5, x6, x7, x0",
+        ] {
+            let src = format!("la t0, end\nli t1, 0x12345\n\n{probe}\nend:\necall");
+            let err = parse_asm(&src, 0x8000_0000).unwrap_err();
+            assert!(
+                matches!(err, AsmError::Syntax { line: 4, .. }),
+                "`{probe}`: {err}"
             );
         }
     }

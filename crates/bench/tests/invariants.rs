@@ -1119,6 +1119,69 @@ fn reduce_snapshot_bytes_are_pinned() {
     assert!(resumed.save_snapshot() == bytes, "re-saved snapshot differs");
 }
 
+/// Every kernel generator the repo ships assembles, to the same bytes as
+/// before encodability was checked in one place: the `fnv1a64` of each
+/// `Program::to_bytes()` is pinned, the texture kernels at both Figure 20
+/// scales (a 128×128 blit and a 1024×1024 texture on a 1920×1080 target).
+#[test]
+fn kernel_images_are_pinned() {
+    use vortex_gfx::{raster, RenderState};
+    use vortex_kernels::{reduce, rodinia, texture};
+    let textured = RenderState { texturing: true, hw_texture: true, ..RenderState::default() };
+    let mut images = vec![
+        ("bfs".to_string(), rodinia::bfs::program()),
+        ("gaussian".to_string(), rodinia::gaussian::program()),
+        ("nearn".to_string(), rodinia::nearn::program()),
+        ("saxpy".to_string(), rodinia::saxpy::program()),
+        ("sfilter".to_string(), rodinia::sfilter::program()),
+        ("sgemm".to_string(), rodinia::sgemm::program()),
+        ("vecadd".to_string(), rodinia::vecadd::program()),
+        ("reduce/global".to_string(), reduce::program(false)),
+        ("reduce/smem".to_string(), reduce::program(true)),
+        ("raster/quick".to_string(), raster::program(&textured)),
+        ("raster/default".to_string(), raster::program(&RenderState::default())),
+    ];
+    for filter in [FilterKind::Point, FilterKind::Bilinear, FilterKind::Trilinear] {
+        for hw in [true, false] {
+            let tag = format!("texture/{}/{}", filter.name(), if hw { "hw" } else { "sw" });
+            let full_hd = TexBench::new(filter, hw, 10).with_target(1920, 1080);
+            images.push((format!("{tag}/128"), texture::program(&TexBench::new(filter, hw, 7))));
+            images.push((format!("{tag}/1080p"), texture::program(&full_hd)));
+        }
+    }
+    let pins: [(&str, u64); 23] = [
+        ("bfs", 0x7c48_9a85_40da_3c14),
+        ("gaussian", 0x2eb6_2b52_d219_ada6),
+        ("nearn", 0x2dac_ccbb_e30e_d2e6),
+        ("saxpy", 0xc369_1cf8_df74_f3aa),
+        ("sfilter", 0x2ef0_8d3b_79ef_b192),
+        ("sgemm", 0x6635_89e8_00c4_90cf),
+        ("vecadd", 0x8257_e069_a7fd_a959),
+        ("reduce/global", 0xa1a1_7294_5696_e71a),
+        ("reduce/smem", 0xa95c_80b8_5646_3672),
+        ("raster/quick", 0x33cb_a2fb_dbc2_1bf8),
+        ("raster/default", 0x8066_f7fe_85cf_8094),
+        ("texture/point/hw/128", 0x7123_6845_b360_5365),
+        ("texture/point/hw/1080p", 0xfcfe_39dc_a1ea_7ce1),
+        ("texture/point/sw/128", 0xfe2f_a430_381c_e937),
+        ("texture/point/sw/1080p", 0xa307_b40b_45ca_b79b),
+        ("texture/bilinear/hw/128", 0x0005_7474_c0b9_e255),
+        ("texture/bilinear/hw/1080p", 0x0e89_2ad6_f243_9651),
+        ("texture/bilinear/sw/128", 0x5660_8a99_4392_f8b1),
+        ("texture/bilinear/sw/1080p", 0x8fa9_561b_ecd1_e70b),
+        ("texture/trilinear/hw/128", 0x71f2_0c39_700b_aff7),
+        ("texture/trilinear/hw/1080p", 0xa427_bf22_a0b4_997b),
+        ("texture/trilinear/sw/128", 0x5053_5f4f_e70a_a3bb),
+        ("texture/trilinear/sw/1080p", 0x4125_7149_9a90_b00a),
+    ];
+    assert_eq!(images.len(), pins.len());
+    for ((name, program), (pin_name, pin)) in images.iter().zip(pins) {
+        assert_eq!(name, pin_name);
+        let hash = vortex_snapshot::fnv1a64(&program.to_bytes());
+        assert_eq!(hash, pin, "{name}: image bytes moved ({hash:#018x})");
+    }
+}
+
 /// The registered workloads at their fast sizes on 4 profiled cores, with
 /// the decode memo on (base) and off, each pinned to its cycle count.
 fn registered() -> &'static [Column] {

@@ -1,84 +1,164 @@
 //! Binary encoder: [`Instr`] → 32-bit instruction word.
 //!
-//! [`encode`] is the exact inverse of [`crate::decode`]; the property tests
-//! in this crate check `decode(encode(i)) == i` over the whole instruction
-//! space.
+//! [`try_encode`] rejects a field outside the one range table,
+//! `Field::bounds`, and is otherwise the exact inverse of
+//! [`crate::decode`]: the property tests check `decode(try_encode(i)) == i`.
 
 use crate::instr::*;
-use crate::vx;
+use crate::{csr, vx};
+use std::fmt;
+
+/// A field of an instruction encoding whose values are range-checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Field {
+    /// I- and S-type immediate: ALU immediates, load, store and `jalr` offsets.
+    Imm12,
+    /// `slli`/`srli`/`srai` shift amount.
+    Shamt,
+    /// U-type `lui`/`auipc` value, low 12 bits zero.
+    Upper,
+    /// B-type branch offset.
+    BranchOffset,
+    /// J-type `jal` offset.
+    JumpOffset,
+    /// CSR number.
+    Csr,
+    /// `csrr*i` zero-extended immediate.
+    CsrImm,
+    /// `tex` texture stage.
+    TexStage,
+}
+
+impl Field {
+    /// The range table: a value fits when it lies in `min..=max` and is a
+    /// multiple of `step`. Returns `(min, max, step)`.
+    const fn bounds(self) -> (i32, i32, i32) {
+        match self {
+            Field::Imm12 => (-2048, 2047, 1),
+            Field::Shamt | Field::CsrImm => (0, 31, 1),
+            Field::Upper => (i32::MIN, i32::MAX & !0xFFF, 1 << 12),
+            Field::BranchOffset => (-(1 << 12), (1 << 12) - 2, 2),
+            Field::JumpOffset => (-(1 << 20), (1 << 20) - 2, 2),
+            Field::Csr => (0, 0xFFF, 1),
+            Field::TexStage => (0, csr::TEX_STAGES as i32 - 1, 1),
+        }
+    }
+
+    /// `value`'s two's-complement bits, if it fits this field.
+    fn check(self, value: impl Into<i32>) -> Result<u32, EncodeError> {
+        let value = value.into();
+        let (min, max, step) = self.bounds();
+        if (min..=max).contains(&value) && value % step == 0 {
+            Ok(value as u32)
+        } else {
+            Err(EncodeError { field: self, value })
+        }
+    }
+}
+
+/// A field value its encoding cannot hold, reported by [`try_encode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncodeError {
+    /// The field.
+    pub field: Field,
+    /// The value that does not fit it.
+    pub value: i32,
+}
+
+impl fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (min, max, step) = self.field.bounds();
+        let (field, value) = (self.field, self.value);
+        write!(
+            f,
+            "{field:?} cannot hold {value}: range {min}..={max}, step {step}"
+        )
+    }
+}
+
+impl std::error::Error for EncodeError {}
 
 fn r_type(funct7: u32, rs2: u32, rs1: u32, funct3: u32, rd: u32, opcode: u32) -> u32 {
     (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
 }
 
-fn i_type(imm: i32, rs1: u32, funct3: u32, rd: u32, opcode: u32) -> u32 {
-    debug_assert!((-2048..2048).contains(&imm), "I-immediate out of range");
-    (((imm as u32) & 0xFFF) << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
+fn i_type(imm: i32, rs1: u32, funct3: u32, rd: u32, opcode: u32) -> Result<u32, EncodeError> {
+    let imm = Field::Imm12.check(imm)?;
+    Ok(((imm & 0xFFF) << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode)
 }
 
-fn s_type(imm: i32, rs2: u32, rs1: u32, funct3: u32, opcode: u32) -> u32 {
-    debug_assert!((-2048..2048).contains(&imm), "S-immediate out of range");
-    let imm = imm as u32;
-    (((imm >> 5) & 0x7F) << 25)
+fn s_type(imm: i32, rs2: u32, rs1: u32, funct3: u32, opcode: u32) -> Result<u32, EncodeError> {
+    let imm = Field::Imm12.check(imm)?;
+    Ok((((imm >> 5) & 0x7F) << 25)
         | (rs2 << 20)
         | (rs1 << 15)
         | (funct3 << 12)
         | ((imm & 0x1F) << 7)
-        | opcode
+        | opcode)
 }
 
-fn b_type(offset: i32, rs2: u32, rs1: u32, funct3: u32, opcode: u32) -> u32 {
-    debug_assert!(
-        (-4096..4096).contains(&offset) && offset % 2 == 0,
-        "B-offset out of range"
-    );
-    let imm = offset as u32;
-    (((imm >> 12) & 1) << 31)
+fn b_type(offset: i32, rs2: u32, rs1: u32, funct3: u32, opcode: u32) -> Result<u32, EncodeError> {
+    let imm = Field::BranchOffset.check(offset)?;
+    Ok((((imm >> 12) & 1) << 31)
         | (((imm >> 5) & 0x3F) << 25)
         | (rs2 << 20)
         | (rs1 << 15)
         | (funct3 << 12)
         | (((imm >> 1) & 0xF) << 8)
         | (((imm >> 11) & 1) << 7)
-        | opcode
+        | opcode)
 }
 
-fn u_type(imm: i32, rd: u32, opcode: u32) -> u32 {
-    debug_assert!(imm as u32 & 0xFFF == 0, "U-immediate has low bits set");
-    (imm as u32) | (rd << 7) | opcode
+fn shift(funct7: u32, shamt: i32, rs1: u32, funct3: u32, rd: u32) -> Result<u32, EncodeError> {
+    Ok(r_type(
+        funct7,
+        Field::Shamt.check(shamt)?,
+        rs1,
+        funct3,
+        rd,
+        0x13,
+    ))
 }
 
-fn j_type(offset: i32, rd: u32, opcode: u32) -> u32 {
-    debug_assert!(
-        (-(1 << 20)..(1 << 20)).contains(&offset) && offset % 2 == 0,
-        "J-offset out of range"
-    );
-    let imm = offset as u32;
-    (((imm >> 20) & 1) << 31)
+fn u_type(imm: i32, rd: u32, opcode: u32) -> Result<u32, EncodeError> {
+    Ok(Field::Upper.check(imm)? | (rd << 7) | opcode)
+}
+
+fn j_type(offset: i32, rd: u32, opcode: u32) -> Result<u32, EncodeError> {
+    let imm = Field::JumpOffset.check(offset)?;
+    Ok((((imm >> 20) & 1) << 31)
         | (((imm >> 1) & 0x3FF) << 21)
         | (((imm >> 11) & 1) << 20)
         | (((imm >> 12) & 0xFF) << 12)
         | (rd << 7)
-        | opcode
+        | opcode)
 }
 
 fn r4_type(rs3: u32, funct2: u32, rs2: u32, rs1: u32, funct3: u32, rd: u32, opcode: u32) -> u32 {
     (rs3 << 27) | (funct2 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
 }
 
-/// Encodes an instruction to its 32-bit binary form.
+/// Encodes an instruction that came from [`crate::decode`], whose fields
+/// always fit.
 ///
 /// # Panics
-/// Panics (in debug builds) if an immediate or offset is out of the range
-/// representable by the encoding; the assembler validates ranges before
-/// calling this.
+/// Panics, in every build, if a field does not fit its encoding; use
+/// [`try_encode`] for any instruction not known to fit.
 pub fn encode(instr: &Instr) -> u32 {
+    try_encode(instr).unwrap_or_else(|e| panic!("cannot encode `{instr}`: {e}"))
+}
+
+/// Encodes an instruction to its 32-bit binary form.
+///
+/// # Errors
+/// Returns the first field whose value its encoding cannot hold.
+pub fn try_encode(instr: &Instr) -> Result<u32, EncodeError> {
     use Instr::*;
-    match *instr {
-        Lui { rd, imm } => u_type(imm, rd.into(), 0x37),
-        Auipc { rd, imm } => u_type(imm, rd.into(), 0x17),
-        Jal { rd, offset } => j_type(offset, rd.into(), 0x6F),
-        Jalr { rd, rs1, offset } => i_type(offset, rs1.into(), 0, rd.into(), 0x67),
+    Ok(match *instr {
+        Lui { rd, imm } => u_type(imm, rd.into(), 0x37)?,
+        Auipc { rd, imm } => u_type(imm, rd.into(), 0x17)?,
+        Jal { rd, offset } => j_type(offset, rd.into(), 0x6F)?,
+        Jalr { rd, rs1, offset } => i_type(offset, rs1.into(), 0, rd.into(), 0x67)?,
         Branch {
             cond,
             rs1,
@@ -93,7 +173,7 @@ pub fn encode(instr: &Instr) -> u32 {
                 BranchCond::Ltu => 0b110,
                 BranchCond::Geu => 0b111,
             };
-            b_type(offset, rs2.into(), rs1.into(), f3, 0x63)
+            b_type(offset, rs2.into(), rs1.into(), f3, 0x63)?
         }
         Load {
             width,
@@ -108,7 +188,7 @@ pub fn encode(instr: &Instr) -> u32 {
                 LoadWidth::Bu => 0b100,
                 LoadWidth::Hu => 0b101,
             };
-            i_type(offset, rs1.into(), f3, rd.into(), 0x03)
+            i_type(offset, rs1.into(), f3, rd.into(), 0x03)?
         }
         Store {
             width,
@@ -121,18 +201,18 @@ pub fn encode(instr: &Instr) -> u32 {
                 StoreWidth::H => 0b001,
                 StoreWidth::W => 0b010,
             };
-            s_type(offset, rs2.into(), rs1.into(), f3, 0x23)
+            s_type(offset, rs2.into(), rs1.into(), f3, 0x23)?
         }
         OpImm { op, rd, rs1, imm } => match op {
-            OpImmKind::Addi => i_type(imm, rs1.into(), 0b000, rd.into(), 0x13),
-            OpImmKind::Slti => i_type(imm, rs1.into(), 0b010, rd.into(), 0x13),
-            OpImmKind::Sltiu => i_type(imm, rs1.into(), 0b011, rd.into(), 0x13),
-            OpImmKind::Xori => i_type(imm, rs1.into(), 0b100, rd.into(), 0x13),
-            OpImmKind::Ori => i_type(imm, rs1.into(), 0b110, rd.into(), 0x13),
-            OpImmKind::Andi => i_type(imm, rs1.into(), 0b111, rd.into(), 0x13),
-            OpImmKind::Slli => r_type(0x00, imm as u32 & 0x1F, rs1.into(), 0b001, rd.into(), 0x13),
-            OpImmKind::Srli => r_type(0x00, imm as u32 & 0x1F, rs1.into(), 0b101, rd.into(), 0x13),
-            OpImmKind::Srai => r_type(0x20, imm as u32 & 0x1F, rs1.into(), 0b101, rd.into(), 0x13),
+            OpImmKind::Addi => i_type(imm, rs1.into(), 0b000, rd.into(), 0x13)?,
+            OpImmKind::Slti => i_type(imm, rs1.into(), 0b010, rd.into(), 0x13)?,
+            OpImmKind::Sltiu => i_type(imm, rs1.into(), 0b011, rd.into(), 0x13)?,
+            OpImmKind::Xori => i_type(imm, rs1.into(), 0b100, rd.into(), 0x13)?,
+            OpImmKind::Ori => i_type(imm, rs1.into(), 0b110, rd.into(), 0x13)?,
+            OpImmKind::Andi => i_type(imm, rs1.into(), 0b111, rd.into(), 0x13)?,
+            OpImmKind::Slli => shift(0x00, imm, rs1.into(), 0b001, rd.into())?,
+            OpImmKind::Srli => shift(0x00, imm, rs1.into(), 0b101, rd.into())?,
+            OpImmKind::Srai => shift(0x20, imm, rs1.into(), 0b101, rd.into())?,
         },
         Op { op, rd, rs1, rs2 } => {
             let (f7, f3) = match op {
@@ -168,12 +248,13 @@ pub fn encode(instr: &Instr) -> u32 {
             };
             let (f3, rs1_field) = match src {
                 CsrSrc::Reg(r) => (base_f3, u32::from(r)),
-                CsrSrc::Imm(i) => (base_f3 | 0b100, u32::from(i) & 0x1F),
+                CsrSrc::Imm(i) => (base_f3 | 0b100, Field::CsrImm.check(i)?),
             };
-            ((csr as u32) << 20) | (rs1_field << 15) | (f3 << 12) | (u32::from(rd) << 7) | 0x73
+            let csr = Field::Csr.check(csr)?;
+            (csr << 20) | (rs1_field << 15) | (f3 << 12) | (u32::from(rd) << 7) | 0x73
         }
-        Flw { rd, rs1, offset } => i_type(offset, rs1.into(), 0b010, rd.into(), 0x07),
-        Fsw { rs1, rs2, offset } => s_type(offset, rs2.into(), rs1.into(), 0b010, 0x27),
+        Flw { rd, rs1, offset } => i_type(offset, rs1.into(), 0b010, rd.into(), 0x07)?,
+        Fsw { rs1, rs2, offset } => s_type(offset, rs2.into(), rs1.into(), 0b010, 0x27)?,
         Fma {
             kind,
             rd,
@@ -274,14 +355,14 @@ pub fn encode(instr: &Instr) -> u32 {
             stage,
         } => r4_type(
             lod.into(),
-            u32::from(stage) & 0b11,
+            Field::TexStage.check(stage)?,
             v.into(),
             u.into(),
             vx::F3_TEX,
             rd.into(),
             vx::OPCODE,
         ),
-    }
+    })
 }
 
 #[cfg(test)]

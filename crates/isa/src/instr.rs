@@ -233,8 +233,8 @@ pub enum FpCmpKind {
 /// A fully decoded Vortex instruction.
 ///
 /// Covers RV32I, the `M` and `F` standard extensions, `Zicsr`, `fence`, and
-/// the six Vortex SIMT instructions. Every variant encodes to exactly one
-/// 32-bit word via [`crate::encode`] and decodes back via [`crate::decode`].
+/// the six Vortex SIMT instructions. [`crate::try_encode`] maps each to one
+/// 32-bit word when its fields fit, and [`crate::decode`] maps it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// `lui rd, imm` — load upper immediate (`imm` is the final value, with

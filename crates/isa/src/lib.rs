@@ -15,8 +15,8 @@
 //! | `tex %dest, %u, %v, %lod` | Texture sampling/filtering |
 //!
 //! The crate provides the decoded instruction type [`Instr`], a binary
-//! [`decode`]r and [`encode`]r that round-trip exactly, a disassembler
-//! (`Display` on [`Instr`]), the architectural [register](reg) names, and the
+//! [`decode`]r and a range-checked encoder ([`try_encode`]) that round-trip,
+//! a disassembler (`Display` on [`Instr`]), the [register](reg) names, and the
 //! [CSR address map](csr) shared by the simulator, runtime and texture units.
 //!
 //! ```
@@ -41,7 +41,7 @@ pub mod reg;
 pub mod vx;
 
 pub use decode::{decode, DecodeError};
-pub use encode::encode;
+pub use encode::{encode, try_encode, EncodeError, Field};
 pub use instr::{
     BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth, OpImmKind, OpKind,
     RoundMode, StoreWidth,

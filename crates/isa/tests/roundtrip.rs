@@ -1,10 +1,11 @@
-//! Property tests: `decode(encode(i)) == i` over the instruction space, and
-//! `encode(decode(w)) == w` for every word that decodes.
+//! Property tests: `decode(encode(i)) == i` over the instruction space,
+//! `encode(decode(w)) == w` for every word that decodes, and `try_encode`
+//! rejecting, never truncating, a field outside its encoding.
 
 use proptest::prelude::*;
 use vortex_isa::{
-    decode, encode, BranchCond, CsrKind, CsrSrc, FReg, FmaKind, FpCmpKind, FpOpKind, Instr,
-    LoadWidth, OpImmKind, OpKind, Reg, RoundMode, StoreWidth,
+    decode, encode, try_encode, BranchCond, CsrKind, CsrSrc, FReg, FmaKind, FpCmpKind, FpOpKind,
+    Instr, LoadWidth, OpImmKind, OpKind, Reg, RoundMode, StoreWidth,
 };
 
 fn any_reg() -> impl Strategy<Value = Reg> {
@@ -26,23 +27,63 @@ fn any_rm() -> impl Strategy<Value = RoundMode> {
     ]
 }
 
-prop_compose! {
-    fn imm12()(v in -2048i32..2048) -> i32 { v }
+/// A strategy for each range-checked field of [`Instr`].
+struct Fields {
+    imm12: BoxedStrategy<i32>,
+    shamt: BoxedStrategy<i32>,
+    upper: BoxedStrategy<i32>,
+    branch_off: BoxedStrategy<i32>,
+    jal_off: BoxedStrategy<i32>,
+    csr: BoxedStrategy<u16>,
+    uimm: BoxedStrategy<u8>,
+    stage: BoxedStrategy<u8>,
 }
 
-prop_compose! {
-    fn branch_off()(v in -2048i32..2048) -> i32 { v * 2 }
+/// Every field within its encoding.
+fn in_range() -> Fields {
+    Fields {
+        imm12: (-2048i32..2048).boxed(),
+        shamt: (0i32..32).boxed(),
+        upper: (0u32..(1 << 20)).prop_map(|v| (v << 12) as i32).boxed(),
+        branch_off: (-2048i32..2048).prop_map(|v| v * 2).boxed(),
+        jal_off: (-(1i32 << 19)..(1i32 << 19)).prop_map(|v| v * 2).boxed(),
+        csr: (0u16..4096).boxed(),
+        uimm: (0u8..32).boxed(),
+        stage: (0u8..4).boxed(),
+    }
 }
 
-prop_compose! {
-    fn jal_off()(v in -(1i32<<19)..(1i32<<19)) -> i32 { v * 2 }
-}
-
-prop_compose! {
-    fn upper_imm()(v in 0u32..(1<<20)) -> i32 { (v << 12) as i32 }
+/// Every field over its whole Rust type, weighted toward the small
+/// magnitudes where the encodings' limits lie.
+fn unconstrained() -> Fields {
+    let any_i32 = || {
+        prop_oneof![
+            any::<i32>(),
+            -64i32..64,
+            -5000i32..5000,
+            -(1i32 << 21)..(1i32 << 21),
+            any::<i32>().prop_map(|v| v & !0xFFF),
+        ]
+        .boxed()
+    };
+    Fields {
+        imm12: any_i32(),
+        shamt: any_i32(),
+        upper: any_i32(),
+        branch_off: any_i32(),
+        jal_off: any_i32(),
+        csr: prop_oneof![any::<u16>(), 0u16..8192].boxed(),
+        uimm: prop_oneof![any::<u8>(), 0u8..64].boxed(),
+        stage: prop_oneof![any::<u8>(), 0u8..8].boxed(),
+    }
 }
 
 fn any_instr() -> impl Strategy<Value = Instr> {
+    instrs(in_range())
+}
+
+/// Every `Instr` variant, its range-checked fields drawn from `f`.
+fn instrs(f: Fields) -> impl Strategy<Value = Instr> {
     let op_imm = prop_oneof![
         Just(OpImmKind::Addi),
         Just(OpImmKind::Slti),
@@ -125,19 +166,19 @@ fn any_instr() -> impl Strategy<Value = Instr> {
     ];
     let csr_src = prop_oneof![
         any_reg().prop_map(CsrSrc::Reg),
-        (0u8..32).prop_map(CsrSrc::Imm)
+        f.uimm.prop_map(CsrSrc::Imm)
     ];
 
     prop_oneof![
-        (any_reg(), upper_imm()).prop_map(|(rd, imm)| Instr::Lui { rd, imm }),
-        (any_reg(), upper_imm()).prop_map(|(rd, imm)| Instr::Auipc { rd, imm }),
-        (any_reg(), jal_off()).prop_map(|(rd, offset)| Instr::Jal { rd, offset }),
-        (any_reg(), any_reg(), imm12()).prop_map(|(rd, rs1, offset)| Instr::Jalr {
+        (any_reg(), f.upper.clone()).prop_map(|(rd, imm)| Instr::Lui { rd, imm }),
+        (any_reg(), f.upper).prop_map(|(rd, imm)| Instr::Auipc { rd, imm }),
+        (any_reg(), f.jal_off).prop_map(|(rd, offset)| Instr::Jal { rd, offset }),
+        (any_reg(), any_reg(), f.imm12.clone()).prop_map(|(rd, rs1, offset)| Instr::Jalr {
             rd,
             rs1,
             offset
         }),
-        (branch, any_reg(), any_reg(), branch_off()).prop_map(|(cond, rs1, rs2, offset)| {
+        (branch, any_reg(), any_reg(), f.branch_off).prop_map(|(cond, rs1, rs2, offset)| {
             Instr::Branch {
                 cond,
                 rs1,
@@ -145,25 +186,25 @@ fn any_instr() -> impl Strategy<Value = Instr> {
                 offset,
             }
         }),
-        (lw, any_reg(), any_reg(), imm12()).prop_map(|(width, rd, rs1, offset)| Instr::Load {
-            width,
-            rd,
-            rs1,
-            offset
+        (lw, any_reg(), any_reg(), f.imm12.clone()).prop_map(|(width, rd, rs1, offset)| {
+            Instr::Load {
+                width,
+                rd,
+                rs1,
+                offset,
+            }
         }),
-        (sw, any_reg(), any_reg(), imm12()).prop_map(|(width, rs1, rs2, offset)| Instr::Store {
-            width,
-            rs1,
-            rs2,
-            offset
+        (sw, any_reg(), any_reg(), f.imm12.clone()).prop_map(|(width, rs1, rs2, offset)| {
+            Instr::Store {
+                width,
+                rs1,
+                rs2,
+                offset,
+            }
         }),
-        (op_imm, any_reg(), any_reg(), imm12()).prop_map(|(op, rd, rs1, imm)| Instr::OpImm {
-            op,
-            rd,
-            rs1,
-            imm
-        }),
-        (shift, any_reg(), any_reg(), 0i32..32).prop_map(|(op, rd, rs1, imm)| Instr::OpImm {
+        (op_imm, any_reg(), any_reg(), f.imm12.clone())
+            .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
+        (shift, any_reg(), any_reg(), f.shamt).prop_map(|(op, rd, rs1, imm)| Instr::OpImm {
             op,
             rd,
             rs1,
@@ -178,18 +219,18 @@ fn any_instr() -> impl Strategy<Value = Instr> {
         Just(Instr::Fence),
         Just(Instr::Ecall),
         Just(Instr::Ebreak),
-        (csrk, any_reg(), 0u16..4096, csr_src).prop_map(|(kind, rd, csr, src)| Instr::Csr {
+        (csrk, any_reg(), f.csr, csr_src).prop_map(|(kind, rd, csr, src)| Instr::Csr {
             kind,
             rd,
             csr,
             src
         }),
-        (any_freg(), any_reg(), imm12()).prop_map(|(rd, rs1, offset)| Instr::Flw {
+        (any_freg(), any_reg(), f.imm12.clone()).prop_map(|(rd, rs1, offset)| Instr::Flw {
             rd,
             rs1,
             offset
         }),
-        (any_reg(), any_freg(), imm12()).prop_map(|(rs1, rs2, offset)| Instr::Fsw {
+        (any_reg(), any_freg(), f.imm12).prop_map(|(rs1, rs2, offset)| Instr::Fsw {
             rs1,
             rs2,
             offset
@@ -267,7 +308,7 @@ fn any_instr() -> impl Strategy<Value = Instr> {
         any_reg().prop_map(|rs1| Instr::Split { rs1 }),
         Just(Instr::Join),
         (any_reg(), any_reg()).prop_map(|(rs1, rs2)| Instr::Bar { rs1, rs2 }),
-        (any_reg(), any_reg(), any_reg(), any_reg(), 0u8..4).prop_map(|(rd, u, v, lod, stage)| {
+        (any_reg(), any_reg(), any_reg(), any_reg(), f.stage).prop_map(|(rd, u, v, lod, stage)| {
             Instr::Tex {
                 rd,
                 u,
@@ -298,6 +339,16 @@ proptest! {
             let word2 = encode(&instr);
             let instr2 = decode(word2).expect("re-encoded word must decode");
             prop_assert_eq!(instr2, instr);
+        }
+    }
+
+    /// With every field unconstrained, `try_encode` either rejects the
+    /// instruction or encodes it exactly: no field is masked into another
+    /// instruction.
+    #[test]
+    fn try_encode_rejects_or_round_trips(instr in instrs(unconstrained())) {
+        if let Ok(word) = try_encode(&instr) {
+            prop_assert_eq!(decode(word).expect("encoded instruction must decode"), instr);
         }
     }
 
