@@ -31,10 +31,16 @@ fn main() {
         r
     });
     for (mshr, r) in mshrs.iter().zip(&results) {
-        t.row([mshr.to_string(), f2(r.thread_ipc()), r.stats.cycles.to_string()]);
+        t.row([
+            mshr.to_string(),
+            f2(r.thread_ipc()),
+            r.stats.cycles.to_string(),
+        ]);
     }
     println!("{}", t.to_markdown());
-    println!("(deeper MSHRs expose more memory-level parallelism until the DRAM channels saturate)\n");
+    println!(
+        "(deeper MSHRs expose more memory-level parallelism until the DRAM channels saturate)\n"
+    );
 
     // --- D-cache banks. -------------------------------------------------
     println!("### D-cache bank count (sgemm, 1 core)\n");
@@ -134,7 +140,12 @@ fn main() {
             bench.name().to_string(),
             f2(r.thread_ipc()),
             r.stats.cycles.to_string(),
-            r.stats.cores.iter().map(|c| c.smem_accesses).sum::<u64>().to_string(),
+            r.stats
+                .cores
+                .iter()
+                .map(|c| c.smem_accesses)
+                .sum::<u64>()
+                .to_string(),
             r.stats.dram_writes.to_string(),
         ]);
     }

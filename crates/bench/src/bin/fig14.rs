@@ -20,8 +20,7 @@ fn main() {
     let names: Vec<String> = per_config[0].iter().map(|r| r.name.clone()).collect();
     for (i, name) in names.iter().enumerate() {
         t.row(
-            std::iter::once(name.clone())
-                .chain(per_config.iter().map(|rs| f2(rs[i].thread_ipc()))),
+            std::iter::once(name.clone()).chain(per_config.iter().map(|rs| f2(rs[i].thread_ipc()))),
         );
     }
     println!("{}", t.to_markdown());

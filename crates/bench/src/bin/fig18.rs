@@ -13,8 +13,7 @@ fn main() {
     }
     let names: Vec<String> = per_count[0].1.iter().map(|r| r.name.clone()).collect();
     let mut t = Table::new(
-        std::iter::once("benchmark".to_string())
-            .chain(CORE_COUNTS.iter().map(|c| format!("{c}c"))),
+        std::iter::once("benchmark".to_string()).chain(CORE_COUNTS.iter().map(|c| format!("{c}c"))),
     );
     for (i, name) in names.iter().enumerate() {
         t.row(

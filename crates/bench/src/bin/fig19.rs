@@ -36,14 +36,8 @@ fn main() {
     });
     for (bi, b) in benches.iter().enumerate() {
         let row = &cells[bi * ports.len()..(bi + 1) * ports.len()];
-        util_t.row(
-            std::iter::once(b.name().to_string())
-                .chain(row.iter().map(|(u, _, _)| f2(*u))),
-        );
-        ipc_t.row(
-            std::iter::once(b.name().to_string())
-                .chain(row.iter().map(|(_, i, _)| f2(*i))),
-        );
+        util_t.row(std::iter::once(b.name().to_string()).chain(row.iter().map(|(u, _, _)| f2(*u))));
+        ipc_t.row(std::iter::once(b.name().to_string()).chain(row.iter().map(|(_, i, _)| f2(*i))));
     }
     println!("{}", util_t.to_markdown());
     println!("{}", ipc_t.to_markdown());

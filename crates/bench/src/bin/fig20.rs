@@ -30,7 +30,11 @@ fn main() {
         7
     };
     let cores = [1usize, 2, 4, 8, 16];
-    let filters = [FilterKind::Point, FilterKind::Bilinear, FilterKind::Trilinear];
+    let filters = [
+        FilterKind::Point,
+        FilterKind::Bilinear,
+        FilterKind::Trilinear,
+    ];
 
     // The full cross product, flattened so the whole sweep can fan out.
     let mut jobs = Vec::new();

@@ -46,7 +46,10 @@ fn main() {
         assert!(r.validated, "{name} failed validation");
         r.stats
     });
-    let ipcs: Vec<f64> = points.iter().map(vortex_core::GpuStats::thread_ipc).collect();
+    let ipcs: Vec<f64> = points
+        .iter()
+        .map(vortex_core::GpuStats::thread_ipc)
+        .collect();
 
     let mut next = ipcs.iter();
     for (name, _) in &benches {
@@ -71,9 +74,7 @@ fn main() {
     let rows: Vec<_> = items
         .iter()
         .zip(points)
-        .map(|(&(bi, lat, ch), stats)| {
-            (format!("{}/lat{lat}/{ch}ch", benches[bi].0), stats)
-        })
+        .map(|(&(bi, lat, ch), stats)| (format!("{}/lat{lat}/{ch}ch", benches[bi].0), stats))
         .collect();
     dump_sweep("fig21: memory latency/bandwidth scaling", &rows);
 }

@@ -7,7 +7,14 @@ use vortex_model::core_resources;
 fn main() {
     preamble("Table 3 (core-configuration synthesis)");
     let mut t = Table::new([
-        "config", "LUT", "LUT(paper)", "Regs", "Regs(paper)", "BRAM", "BRAM(paper)", "f(MHz)",
+        "config",
+        "LUT",
+        "LUT(paper)",
+        "Regs",
+        "Regs(paper)",
+        "BRAM",
+        "BRAM(paper)",
+        "f(MHz)",
         "f(paper)",
     ]);
     for (w, threads) in DESIGN_SPACE {

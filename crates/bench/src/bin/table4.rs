@@ -8,8 +8,18 @@ use vortex_model::{gpu_synthesis, FpgaDevice};
 fn main() {
     preamble("Table 4 (multi-core synthesis)");
     let mut t = Table::new([
-        "cores", "ALM% ", "ALM%(paper)", "Regs(K)", "Regs(paper)", "BRAM%", "BRAM%(paper)",
-        "DSP%", "DSP%(paper)", "fmax", "fmax(paper)", "FPGA",
+        "cores",
+        "ALM% ",
+        "ALM%(paper)",
+        "Regs(K)",
+        "Regs(paper)",
+        "BRAM%",
+        "BRAM%(paper)",
+        "DSP%",
+        "DSP%(paper)",
+        "fmax",
+        "fmax(paper)",
+        "FPGA",
     ]);
     for cores in CORE_COUNTS {
         let device = if cores > 16 {

@@ -7,7 +7,14 @@ use vortex_model::calib::TABLE5;
 fn main() {
     preamble("Table 5 (virtual-port cache synthesis)");
     let mut t = Table::new([
-        "ports", "LUT", "LUT(paper)", "Regs", "Regs(paper)", "BRAM", "BRAM(paper)", "f(MHz)",
+        "ports",
+        "LUT",
+        "LUT(paper)",
+        "Regs",
+        "Regs(paper)",
+        "BRAM",
+        "BRAM(paper)",
+        "f(MHz)",
         "f(paper)",
     ]);
     for p in TABLE5 {

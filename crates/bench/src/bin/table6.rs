@@ -6,26 +6,63 @@ use vortex_bench::Table;
 
 fn main() {
     let mut t = Table::new([
-        "GPGPU", "ISA", "Exec model", "Cache system", "Graphics", "Threads×Cores",
-        "Host interface", "Software stack", "Cycle-level sim",
-    ]);
-    t.row(["HWACHA", "RISCV", "Vector", "L1,L2", "No", "N/A", "No", "N/A", "No"]);
-    t.row(["Simty", "RISCV", "SIMT", "No", "No", "1x1", "No", "N/A", "No"]);
-    t.row(["MIAOW", "AMD", "SIMT", "No", "No", "N/A", "N/A", "OpenCL", "No"]);
-    t.row(["FlexGrip", "Custom", "SIMT", "sharedm", "No", "32x1", "SoC", "Custom", "No"]);
-    t.row(["FGPU", "Custom", "SIMT", "L2", "No", "64x8", "SoC", "Custom", "No"]);
-    t.row([
-        "NyuziRaster", "Custom", "SIMT", "L1,L2", "Fixed-function rasterizer", "4x1",
-        "N/A", "Custom", "No",
+        "GPGPU",
+        "ISA",
+        "Exec model",
+        "Cache system",
+        "Graphics",
+        "Threads×Cores",
+        "Host interface",
+        "Software stack",
+        "Cycle-level sim",
     ]);
     t.row([
-        "Vortex", "RISCV", "SIMT", "sharedm,L1,L2,L3", "Shaders + texture units", "16x32",
-        "PCIe", "OpenCL/OpenGL", "Yes",
+        "HWACHA", "RISCV", "Vector", "L1,L2", "No", "N/A", "No", "N/A", "No",
     ]);
     t.row([
-        "**this repo**", "RISCV (RV32IMF+vx)", "SIMT", "sharedm,L1,L2,L3 (cycle model)",
-        "Programmable raster kernel + texture units", "16x32 (simulated)",
-        "AFU/MMIO model", "asm builder + driver API", "Yes (it *is* one)",
+        "Simty", "RISCV", "SIMT", "No", "No", "1x1", "No", "N/A", "No",
+    ]);
+    t.row([
+        "MIAOW", "AMD", "SIMT", "No", "No", "N/A", "N/A", "OpenCL", "No",
+    ]);
+    t.row([
+        "FlexGrip", "Custom", "SIMT", "sharedm", "No", "32x1", "SoC", "Custom", "No",
+    ]);
+    t.row([
+        "FGPU", "Custom", "SIMT", "L2", "No", "64x8", "SoC", "Custom", "No",
+    ]);
+    t.row([
+        "NyuziRaster",
+        "Custom",
+        "SIMT",
+        "L1,L2",
+        "Fixed-function rasterizer",
+        "4x1",
+        "N/A",
+        "Custom",
+        "No",
+    ]);
+    t.row([
+        "Vortex",
+        "RISCV",
+        "SIMT",
+        "sharedm,L1,L2,L3",
+        "Shaders + texture units",
+        "16x32",
+        "PCIe",
+        "OpenCL/OpenGL",
+        "Yes",
+    ]);
+    t.row([
+        "**this repo**",
+        "RISCV (RV32IMF+vx)",
+        "SIMT",
+        "sharedm,L1,L2,L3 (cycle model)",
+        "Programmable raster kernel + texture units",
+        "16x32 (simulated)",
+        "AFU/MMIO model",
+        "asm builder + driver API",
+        "Yes (it *is* one)",
     ]);
     println!("{}", t.to_markdown());
 }

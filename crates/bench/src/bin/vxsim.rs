@@ -315,8 +315,7 @@ fn main() {
     }
     if trace > 0 {
         for c in 0..cores {
-            gpu.core_mut(c).trace =
-                vortex_core::trace::Trace::with_capacity_for(trace, threads);
+            gpu.core_mut(c).trace = vortex_core::trace::Trace::with_capacity_for(trace, threads);
         }
     }
     if checkpoint_every > 0 {
@@ -373,8 +372,12 @@ fn main() {
     // The PC-level profile, like the stats, is valid on every outcome —
     // on HANG/TRAP/TIMEOUT the hotspots up to the stop are the diagnosis.
     let gpu_profile = if profiling { gpu.profile() } else { None };
-    let symbols =
-        vortex_obs::Symbols::new(program.symbols.iter().map(|(name, &addr)| (name.clone(), addr)));
+    let symbols = vortex_obs::Symbols::new(
+        program
+            .symbols
+            .iter()
+            .map(|(name, &addr)| (name.clone(), addr)),
+    );
     if let (Some(p), Some(path)) = (&gpu_profile, &profile_out) {
         write_file(
             path,

@@ -66,7 +66,11 @@ impl Table {
         let _ = writeln!(
             out,
             "|{}|",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+            self.headers
+                .iter()
+                .map(|_| "---")
+                .collect::<Vec<_>>()
+                .join("|")
         );
         for r in &self.rows {
             let _ = writeln!(out, "| {} |", r.join(" | "));

@@ -43,7 +43,9 @@ fn checkpoint_names(dir: &Path) -> Vec<String> {
 /// The value of a `"key": N` line in the hand-rolled stats JSON.
 fn json_u64(doc: &str, key: &str) -> u64 {
     let needle = format!("\"{key}\": ");
-    let at = doc.find(&needle).unwrap_or_else(|| panic!("{key} in stats JSON"));
+    let at = doc
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{key} in stats JSON"));
     doc[at + needle.len()..]
         .chars()
         .take_while(|c| c.is_ascii_digit())

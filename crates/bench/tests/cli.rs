@@ -23,7 +23,11 @@ fn parallel_sweep_matches_sequential_byte_for_byte() {
     let run = |_i: usize, &cores: &usize| {
         let r = sgemm.run_on(&GpuConfig::with_cores(cores));
         assert!(r.validated);
-        format!("{cores}c: {} cycles {} instrs", r.stats.cycles, r.stats.total_instrs())
+        format!(
+            "{cores}c: {} cycles {} instrs",
+            r.stats.cycles,
+            r.stats.total_instrs()
+        )
     };
     let sequential = par::par_map_with_jobs(1, &sweep, run);
     let parallel = par::par_map_with_jobs(4, &sweep, run);
@@ -57,7 +61,10 @@ fn vxprof_cli_end_to_end() {
     assert!(doc.contains("\"schema\": \"vortex-profile-v1\""));
     let folded_text = std::fs::read_to_string(&folded).unwrap();
     assert!(
-        folded_text.lines().next().is_some_and(|l| l.starts_with("vortex;")),
+        folded_text
+            .lines()
+            .next()
+            .is_some_and(|l| l.starts_with("vortex;")),
         "folded stacks must be non-empty and well-formed"
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -70,7 +77,10 @@ fn vxprof_cli_end_to_end() {
     assert!(out.status.success());
     let names = String::from_utf8(out.stdout).unwrap();
     for expected in ["sgemm", "bfs", "nearn", "texture", "raster"] {
-        assert!(names.lines().any(|l| l == expected), "--list lists {expected}");
+        assert!(
+            names.lines().any(|l| l == expected),
+            "--list lists {expected}"
+        );
     }
 
     // Unknown workloads and bad numerics are structured usage errors.
@@ -105,28 +115,64 @@ fn cli_rejects_bad_numeric_flags() {
         ("vxsim", &["--warps", "65"], "--warps must be in 1..=64"),
         // Sizes that would overflow a capacity or exhaust host memory.
         ("vxsim", &["--ports", "33"], "--ports must be in 1..=32"),
-        ("vxsim", &["--ports", "18446744073709551615"], "--ports must be in 1..=32"),
+        (
+            "vxsim",
+            &["--ports", "18446744073709551615"],
+            "--ports must be in 1..=32",
+        ),
         ("vxsim", &["--cores", "1025"], "--cores must be in 1..=256"),
-        ("vxsim", &["--cores", "100000000"], "--cores must be in 1..=256"),
-        ("vxprof", &["sgemm", "--fast", "--cores", "100000000"], "--cores must be in 1..=256"),
+        (
+            "vxsim",
+            &["--cores", "100000000"],
+            "--cores must be in 1..=256",
+        ),
+        (
+            "vxprof",
+            &["sgemm", "--fast", "--cores", "100000000"],
+            "--cores must be in 1..=256",
+        ),
         // Beyond 256 cores a scratchpad window would alias the heap.
         ("vxsim", &["--cores", "257"], "--cores must be in 1..=256"),
-        ("vxprof", &["sgemm", "--fast", "--cores", "257"], "--cores must be in 1..=256"),
+        (
+            "vxprof",
+            &["sgemm", "--fast", "--cores", "257"],
+            "--cores must be in 1..=256",
+        ),
         // An L3 no request can reach, clusters that share nothing.
         ("vxsim", &["--l3"], "--l3 has no effect without --l2"),
-        ("vxsim", &["--cores", "4", "--clusters", "2"], "--clusters has no effect without --l2"),
+        (
+            "vxsim",
+            &["--cores", "4", "--clusters", "2"],
+            "--clusters has no effect without --l2",
+        ),
         // Removed with the intra-simulation worker pool: unknown flag.
         ("vxsim", &["--sim-threads", "4"], "usage: vxsim"),
         // Removed with the rollback-and-retry policy: unknown flag.
         ("vxsim", &["--resume-retry", "4"], "usage: vxsim"),
         // Removed fault classes (they could only hang, or no workload
         // reached their site): unknown keys.
-        ("vxsim", &["--inject", "dram_drop=5"], "fault key `dram_drop`"),
+        (
+            "vxsim",
+            &["--inject", "dram_drop=5"],
+            "fault key `dram_drop`",
+        ),
         ("vxsim", &["--inject", "corrupt=5"], "fault key `corrupt`"),
-        ("vxsim", &["--inject", "tex_stall=5"], "fault key `tex_stall`"),
-        ("vxsim", &["--inject", "cache_rsp_stall=5"], "fault key `cache_rsp_stall`"),
+        (
+            "vxsim",
+            &["--inject", "tex_stall=5"],
+            "fault key `tex_stall`",
+        ),
+        (
+            "vxsim",
+            &["--inject", "cache_rsp_stall=5"],
+            "fault key `cache_rsp_stall`",
+        ),
         // A stall that fires every cycle never lets a handshake complete.
-        ("vxsim", &["--inject", "elastic_stall=1000"], "`elastic_stall` exceeds 999"),
+        (
+            "vxsim",
+            &["--inject", "elastic_stall=1000"],
+            "`elastic_stall` exceeds 999",
+        ),
     ];
     for &(bin, bad, expect) in rows {
         let mut cmd = match bin {
@@ -138,7 +184,11 @@ fn cli_rejects_bad_numeric_flags() {
             _ => Command::new(env!("CARGO_BIN_EXE_vxprof")),
         };
         let out = cmd.args(bad).output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{bin} {bad:?} must exit 2 (usage)");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {bad:?} must exit 2 (usage)"
+        );
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(
             err.contains(expect),
@@ -176,8 +226,14 @@ fn vxsim_hang_exits_10_with_artifacts() {
         .expect("vxsim runs");
     assert_eq!(out.status.code(), Some(10), "a hang exits 10: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("HANG: hang detected"), "hang report on stderr: {err}");
-    assert!(err.contains("stall=Barrier"), "report names the stuck warp: {err}");
+    assert!(
+        err.contains("HANG: hang detected"),
+        "hang report on stderr: {err}"
+    );
+    assert!(
+        err.contains("stall=Barrier"),
+        "report names the stuck warp: {err}"
+    );
     let v = Value::parse(&std::fs::read_to_string(&stats).unwrap()).expect("stats JSON parses");
     assert!(v.get("cycles").is_some());
     assert!(v.get("recovery").is_none(), "no rollback bookkeeping");
@@ -209,7 +265,10 @@ fn vxsim_dumps_trace_on_timeout() {
     let _ = std::fs::remove_file(&path);
     assert!(!out.status.success(), "spin kernel must not PASS");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("TIMEOUT"), "expected TIMEOUT, got: {stderr}");
+    assert!(
+        stderr.contains("TIMEOUT"),
+        "expected TIMEOUT, got: {stderr}"
+    );
     let trace_lines = stderr.lines().filter(|l| l.contains("core0 w0")).count();
     assert!(
         trace_lines > 0,
@@ -244,9 +303,13 @@ fn run_vxsim_exports(tag: &str, extra: &[&str]) -> (std::process::Output, Vec<St
     let outputs: Vec<String> = extra
         .iter()
         .map(|f| {
-            dir.join(format!("vxsim_{}_{tag}_{}.json", f.trim_start_matches("--"), std::process::id()))
-                .to_string_lossy()
-                .into_owned()
+            dir.join(format!(
+                "vxsim_{}_{tag}_{}.json",
+                f.trim_start_matches("--"),
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .into_owned()
         })
         .collect();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_vxsim"));
@@ -272,17 +335,37 @@ fn vxsim_stats_json_parses_with_required_keys() {
     let text = std::fs::read_to_string(&files[0]).expect("stats JSON written");
     let _ = std::fs::remove_file(&files[0]);
     let v = Value::parse(&text).expect("stats JSON parses");
-    assert_eq!(v.get("schema").unwrap().as_str(), Some(vortex_obs::STATS_SCHEMA));
+    assert_eq!(
+        v.get("schema").unwrap().as_str(),
+        Some(vortex_obs::STATS_SCHEMA)
+    );
     for key in [
-        "label", "cycles", "total_instrs", "total_thread_instrs", "ipc",
-        "thread_ipc", "dram_reads", "dram_writes", "stalls", "icache",
-        "dcache", "tex", "cores", "timeseries",
+        "label",
+        "cycles",
+        "total_instrs",
+        "total_thread_instrs",
+        "ipc",
+        "thread_ipc",
+        "dram_reads",
+        "dram_writes",
+        "stalls",
+        "icache",
+        "dcache",
+        "tex",
+        "cores",
+        "timeseries",
     ] {
         assert!(v.get(key).is_some(), "stats JSON must carry '{key}'");
     }
     let cores = v.get("cores").unwrap().as_arr().unwrap();
     assert_eq!(cores.len(), 1);
-    assert!(cores[0].get("stalls").unwrap().get("total").unwrap().as_num().is_some());
+    assert!(cores[0]
+        .get("stalls")
+        .unwrap()
+        .get("total")
+        .unwrap()
+        .as_num()
+        .is_some());
     // --sample 64 was on: the time series must be present with windows.
     let ts = v.get("timeseries").unwrap();
     assert!(ts.get("interval").unwrap().as_num() == Some(64.0));
@@ -303,7 +386,12 @@ fn vxsim_timeline_parses_as_trace_events() {
     let _ = std::fs::remove_file(&files[0]);
     let v = Value::parse(&text).expect("timeline parses");
     let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-    let ph = |p: &str| events.iter().filter(|e| e.get("ph").unwrap().as_str() == Some(p)).count();
+    let ph = |p: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("ph").unwrap().as_str() == Some(p))
+            .count()
+    };
     assert!(ph("M") >= 2, "process + thread name metadata");
     assert!(ph("X") > 10, "instruction duration events from --trace");
     assert!(ph("C") > 0, "counter tracks from --sample");
@@ -326,7 +414,10 @@ fn sgemm_stats_json_and_timeline_load_cleanly() {
     let r = Sgemm::new(8).run_on(&config);
     assert!(r.validated, "sgemm must validate");
     let series = r.series.as_ref().expect("sampling was enabled");
-    assert!(!series.samples.is_empty(), "sgemm runs long enough to sample");
+    assert!(
+        !series.samples.is_empty(),
+        "sgemm runs long enough to sample"
+    );
 
     let stats_doc = vortex_obs::render_stats("sgemm", &r.stats, Some(series));
     let v = Value::parse(&stats_doc).expect("sgemm stats JSON parses");

@@ -92,7 +92,11 @@ impl Cell {
         run: &impl Fn(&GpuConfig, Drive) -> Digest,
     ) -> Cell {
         let digest = run(&config, drive);
-        let cell = Cell { name, config, digest };
+        let cell = Cell {
+            name,
+            config,
+            digest,
+        };
         audit(&cell);
         cell
     }
@@ -110,7 +114,10 @@ fn audit(cell: &Cell) {
         profile_totals(cell);
     }
     if let Some(validated) = d.validated {
-        assert!(validated, "{name}: device output must match the host reference");
+        assert!(
+            validated,
+            "{name}: device output must match the host reference"
+        );
     }
     if !cell.config.fast_forward {
         assert_eq!(
@@ -141,10 +148,21 @@ fn window_boundaries(cell: &Cell) {
     let series = d.series.as_ref().expect("a sampled cell");
     let interval = cell.config.sample_interval;
     for (i, s) in series.samples.iter().enumerate() {
-        assert_eq!(s.cycle, (i as u64 + 1) * interval, "{name}: window {i} boundary");
+        assert_eq!(
+            s.cycle,
+            (i as u64 + 1) * interval,
+            "{name}: window {i} boundary"
+        );
     }
-    assert_eq!(series.samples.len() as u64, d.stats.cycles / interval, "{name}: window count");
-    assert!(!series.truncated && series.samples.len() <= TimeSeries::MAX_SAMPLES, "{name}");
+    assert_eq!(
+        series.samples.len() as u64,
+        d.stats.cycles / interval,
+        "{name}: window count"
+    );
+    assert!(
+        !series.truncated && series.samples.len() <= TimeSeries::MAX_SAMPLES,
+        "{name}"
+    );
 }
 
 /// Each cycle, live or skipped, charges one issue slot, so every window's
@@ -169,7 +187,11 @@ fn profile_totals(cell: &Cell) {
     let (name, d) = (&cell.name, &cell.digest);
     let p = vortex_obs::parse_profile(d.profile.as_ref().expect("a profiled cell"))
         .expect("profile document parses");
-    assert_eq!(p.total_issues(), d.stats.total_instrs(), "{name}: profiled instructions");
+    assert_eq!(
+        p.total_issues(),
+        d.stats.total_instrs(),
+        "{name}: profiled instructions"
+    );
     assert_eq!(
         p.total_thread_instrs(),
         d.stats.total_thread_instrs(),
@@ -211,7 +233,11 @@ fn profile_doc(profile: &GpuProfile) -> String {
     let doc = vortex_obs::render_profile_json("invariants", profile);
     let parsed = vortex_obs::parse_profile(&doc).expect("profile document parses");
     assert_eq!(&parsed, profile, "the reader reconstructs the profile");
-    assert_eq!(vortex_obs::render_profile_json("invariants", &parsed), doc, "render∘parse");
+    assert_eq!(
+        vortex_obs::render_profile_json("invariants", &parsed),
+        doc,
+        "render∘parse"
+    );
     doc
 }
 
@@ -249,7 +275,11 @@ fn unobserved_live(c: &mut GpuConfig) {
 }
 
 const FAST_FORWARD_OFF: Row = Row("fast_forward_off", |c| c.fast_forward = false, Drive::Run);
-const DECODE_MEMO_OFF: Row = Row("decode_memo_off", |c| c.core.decode_cache = false, Drive::Run);
+const DECODE_MEMO_OFF: Row = Row(
+    "decode_memo_off",
+    |c| c.core.decode_cache = false,
+    Drive::Run,
+);
 const PROFILED: Row = Row("profiled", |c| c.profile = true, Drive::Run);
 const SAMPLED: Row = Row("sampled", |c| c.sample_interval = INTERVAL, Drive::Run);
 
@@ -263,14 +293,26 @@ const KERNEL_ROWS: &[Row] = &[
     Row("checkpoint_drill", |c| c.checkpoint_drill = 777, Drive::Run),
     Row("stepped", unobserved, Drive::Stepped),
     Row("interrupted", |_| {}, Drive::Interrupted(400)),
-    Row("interrupted_unobserved", unobserved, Drive::Interrupted(400)),
+    Row(
+        "interrupted_unobserved",
+        unobserved,
+        Drive::Interrupted(400),
+    ),
     Row("paused", unobserved, Drive::Paused(&PAUSES)),
-    Row("paused_fast_forward_off", unobserved_live, Drive::Paused(&PAUSES)),
+    Row(
+        "paused_fast_forward_off",
+        unobserved_live,
+        Drive::Paused(&PAUSES),
+    ),
 ];
 
 /// The drill at gate scale: not a divisor of any gate's cycle count, so
 /// kills land mid-flight.
-const GATE_DRILL: Row = Row("checkpoint_drill", |c| c.checkpoint_drill = 9_973, Drive::Run);
+const GATE_DRILL: Row = Row(
+    "checkpoint_drill",
+    |c| c.checkpoint_drill = 9_973,
+    Drive::Run,
+);
 
 /// Rows of the gate columns, whose base is unobserved.
 const GATE_ROWS: &[Row] = &[PROFILED, SAMPLED, GATE_DRILL];
@@ -292,7 +334,13 @@ impl Column {
     fn new(name: &str, config: GpuConfig, rows: &[Row], pin: Option<u64>, run: Runner) -> Self {
         let base = Cell::run(format!("{name}/base"), config, Drive::Run, &run);
         let rows = rows.iter().map(|&row| (row, OnceLock::new())).collect();
-        let column = Column { name: name.into(), base, rows, pin, run };
+        let column = Column {
+            name: name.into(),
+            base,
+            rows,
+            pin,
+            run,
+        };
         column.pinned(&column.base);
         column
     }
@@ -327,7 +375,9 @@ impl Column {
     /// the base agrees. Returns the row cells in order.
     fn check(&self, rows: &[&str]) -> Vec<&Cell> {
         let cells: Vec<&Cell> = rows.iter().map(|row| self.cell(row)).collect();
-        let all: Vec<&Cell> = std::iter::once(&self.base).chain(cells.iter().copied()).collect();
+        let all: Vec<&Cell> = std::iter::once(&self.base)
+            .chain(cells.iter().copied())
+            .collect();
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_same(a, b);
@@ -381,7 +431,11 @@ impl Kernel {
     /// The column of this kernel on `config` with every [`KERNEL_ROWS`] row,
     /// pinned to `pin` cycles.
     fn column(self, name: &str, config: GpuConfig, pin: u64) -> Column {
-        let name = if self.faults.is_some() { format!("{name}_faulted") } else { name.into() };
+        let name = if self.faults.is_some() {
+            format!("{name}_faulted")
+        } else {
+            name.into()
+        };
         Column::new(
             &name,
             config,
@@ -423,7 +477,10 @@ impl Kernel {
                         Err(e) => panic!("unexpected outcome: {e}"),
                     }
                 };
-                assert!(resumes >= 3, "run must be interrupted several times ({resumes})");
+                assert!(
+                    resumes >= 3,
+                    "run must be interrupted several times ({resumes})"
+                );
                 stats
             }
             Drive::Paused(budgets) => {
@@ -449,10 +506,16 @@ impl Kernel {
             validated: None,
             mem: Some(self.out.clone().map(|addr| gpu.ram.read_u8(addr)).collect()),
             series: ran.then(|| gpu.time_series().cloned()).flatten(),
-            profile: ran.then(|| gpu.profile()).flatten().map(|p| profile_doc(&p)),
+            profile: ran
+                .then(|| gpu.profile())
+                .flatten()
+                .map(|p| profile_doc(&p)),
             fault_draws: Some(gpu.fault_draws()),
-            trace: one_leg
-                .then(|| (0..config.num_cores).map(|cid| gpu.core(cid).trace.dump()).collect()),
+            trace: one_leg.then(|| {
+                (0..config.num_cores)
+                    .map(|cid| gpu.core(cid).trace.dump())
+                    .collect()
+            }),
             fingerprint: Some(gpu.config_fingerprint()),
             snapshot: one_leg.then(|| gpu.save_snapshot()),
             pauses,
@@ -468,14 +531,27 @@ fn resume(gpu: &Gpu) -> (Gpu, Vec<u8>) {
     let at = gpu.cycle();
     let bytes = gpu.save_snapshot();
     let mut fresh = Gpu::new(gpu.config().clone());
-    fresh.restore_snapshot(&bytes).expect("own snapshot restores");
+    fresh
+        .restore_snapshot(&bytes)
+        .expect("own snapshot restores");
     for cid in 0..gpu.config().num_cores {
         fresh.core(cid).check_front_end_masks();
         let (a, b) = (gpu.core(cid).front_end(), fresh.core(cid).front_end());
-        assert_eq!(a.nonempty(), b.nonempty(), "core {cid} at {at}: buffered mask");
-        assert_eq!(a.fetch_blocked(), b.fetch_blocked(), "core {cid} at {at}: fetch-blocked mask");
+        assert_eq!(
+            a.nonempty(),
+            b.nonempty(),
+            "core {cid} at {at}: buffered mask"
+        );
+        assert_eq!(
+            a.fetch_blocked(),
+            b.fetch_blocked(),
+            "core {cid} at {at}: fetch-blocked mask"
+        );
     }
-    assert!(fresh.save_snapshot() == bytes, "re-saved snapshot at cycle {at} differs");
+    assert!(
+        fresh.save_snapshot() == bytes,
+        "re-saved snapshot at cycle {at} differs"
+    );
     (fresh, bytes)
 }
 
@@ -513,7 +589,11 @@ fn chase_asm() -> Assembler {
 /// L2s and a shared L3, with or without the fault plan, after the checks
 /// every chase base must pass.
 fn chase_column(clustered: bool, faulted: bool) -> Column {
-    let kernel = Kernel::new(chase_asm, CHASE_OUT..CHASE_OUT + 4 * CHASE_CORES as u32, faulted);
+    let kernel = Kernel::new(
+        chase_asm,
+        CHASE_OUT..CHASE_OUT + 4 * CHASE_CORES as u32,
+        faulted,
+    );
     let mut config = observed(CHASE_CORES);
     if clustered {
         config.cores_per_cluster = 2;
@@ -528,12 +608,24 @@ fn chase_column(clustered: bool, faulted: bool) -> Column {
     };
     let column = kernel.column(name, config, pin);
     let d = &column.base.digest;
-    assert!(d.mem.iter().flatten().all(|&b| b == 0), "cold RAM reads sum to zero");
-    assert!(d.stats.merged_dcache().read_misses >= 16, "the chase misses in the D$");
+    assert!(
+        d.mem.iter().flatten().all(|&b| b == 0),
+        "cold RAM reads sum to zero"
+    );
+    assert!(
+        d.stats.merged_dcache().read_misses >= 16,
+        "the chase misses in the D$"
+    );
     assert!(d.stats.dram_reads > 0, "traffic reaches DRAM");
-    assert!(d.trace.as_ref().unwrap().lines().count() > 10, "the trace captured the run");
+    assert!(
+        d.trace.as_ref().unwrap().lines().count() > 10,
+        "the trace captured the run"
+    );
     if faulted {
-        assert!(d.fault_draws.iter().flatten().sum::<u64>() > 0, "fault streams consumed");
+        assert!(
+            d.fault_draws.iter().flatten().sum::<u64>() > 0,
+            "fault streams consumed"
+        );
     } else {
         assert_skips_some(&d.stats);
     }
@@ -550,8 +642,14 @@ fn chase(clustered: bool) -> &'static Column {
 
 /// A memory-bound run that skips, and skips only simulated cycles.
 fn assert_skips_some(s: &GpuStats) {
-    assert!(s.skip_events > 0 && s.cycles_skipped > 0, "the memory-bound run skips");
-    assert!(s.cycles_skipped < s.cycles, "skipped cycles are a subset of simulated ones");
+    assert!(
+        s.skip_events > 0 && s.cycles_skipped > 0,
+        "the memory-bound run skips"
+    );
+    assert!(
+        s.cycles_skipped < s.cycles,
+        "skipped cycles are a subset of simulated ones"
+    );
 }
 
 #[test]
@@ -585,7 +683,10 @@ fn skipping_preserves_telemetry_and_profile() {
     let column = chase(false);
     let live = &column.check(&["fast_forward_off"])[0].digest;
     let ff = &column.base.digest;
-    assert!(!ff.series.as_ref().unwrap().samples.is_empty(), "run long enough to sample");
+    assert!(
+        !ff.series.as_ref().unwrap().samples.is_empty(),
+        "run long enough to sample"
+    );
     assert!(live.series == ff.series && live.profile.is_some() && live.profile == ff.profile);
     assert!(ff.stats.cycles_skipped > 0, "windows do not stop skipping");
 }
@@ -596,7 +697,10 @@ fn skipping_preserves_telemetry_and_profile() {
 fn gpu_stats_equality_ignores_host_skip_accounting() {
     let cells = chase(false).check(&["unobserved", "unobserved_fast_forward_off"]);
     let (ff, live) = (&cells[0].digest.stats, &cells[1].digest.stats);
-    assert_ne!((ff.cycles_skipped, ff.skip_events), (live.cycles_skipped, live.skip_events));
+    assert_ne!(
+        (ff.cycles_skipped, ff.skip_events),
+        (live.cycles_skipped, live.skip_events)
+    );
     assert_eq!(ff, live);
     let mut moved = ff.clone();
     moved.cycles += 1;
@@ -610,7 +714,10 @@ fn hand_stepped_run_equals_run() {
     for clustered in [false, true] {
         let cells = chase(clustered).check(&["unobserved_fast_forward_off", "stepped"]);
         let (ran, stepped) = (&cells[0].digest, &cells[1].digest);
-        assert_eq!(ran.fingerprint, stepped.fingerprint, "snapshot bytes are compared");
+        assert_eq!(
+            ran.fingerprint, stepped.fingerprint,
+            "snapshot bytes are compared"
+        );
         assert!(ran.snapshot.is_some() && ran.snapshot == stepped.snapshot);
     }
 }
@@ -633,7 +740,11 @@ fn skipping_sampled() -> [&'static Cell; 3] {
 #[test]
 fn windows_inside_skipped_spans_land_on_exact_boundaries() {
     for cell in skipping_sampled() {
-        assert!(cell.digest.stats.cycles_skipped > 0, "{}: spans were skipped", cell.name);
+        assert!(
+            cell.digest.stats.cycles_skipped > 0,
+            "{}: spans were skipped",
+            cell.name
+        );
         let windows = cell.digest.series.as_ref().unwrap().samples.len();
         assert!(windows > 4, "{}: several windows elapsed", cell.name);
         window_boundaries(cell);
@@ -643,7 +754,11 @@ fn windows_inside_skipped_spans_land_on_exact_boundaries() {
 #[test]
 fn per_window_deltas_cover_every_cycle() {
     for cell in skipping_sampled() {
-        assert!(cell.digest.stats.cycles_skipped > 0, "{}: spans were skipped", cell.name);
+        assert!(
+            cell.digest.stats.cycles_skipped > 0,
+            "{}: spans were skipped",
+            cell.name
+        );
         window_deltas(cell);
     }
 }
@@ -652,7 +767,11 @@ fn per_window_deltas_cover_every_cycle() {
 fn whole_run_issue_accounting_is_exact_with_skipping() {
     let flat = chase(false);
     for cell in [&flat.base, flat.cell("unobserved"), &chase(true).base] {
-        assert!(cell.digest.stats.cycles_skipped > 0, "{}: spans were skipped", cell.name);
+        assert!(
+            cell.digest.stats.cycles_skipped > 0,
+            "{}: spans were skipped",
+            cell.name
+        );
         issue_accounting(cell);
     }
 }
@@ -662,9 +781,15 @@ fn series_identical_with_and_without_skipping() {
     let column = chase(false);
     let live = &column.check(&["fast_forward_off"])[0].digest;
     let ff = &column.base.digest;
-    assert!(live.series.is_some() && live.series == ff.series, "telemetry time series");
+    assert!(
+        live.series.is_some() && live.series == ff.series,
+        "telemetry time series"
+    );
     // Windows that close inside idle spans split the jumps.
-    let (jumps, windows) = (ff.stats.skip_events, ff.series.as_ref().unwrap().samples.len() as u64);
+    let (jumps, windows) = (
+        ff.stats.skip_events,
+        ff.series.as_ref().unwrap().samples.len() as u64,
+    );
     assert!(jumps > windows / 2, "{jumps} jumps, {windows} windows");
 }
 
@@ -760,7 +885,11 @@ fn barrier_asm() -> Assembler {
 }
 
 fn barrier_kernel(faulted: bool) -> Kernel {
-    Kernel::new(barrier_asm, SLOTS..RESULTS + 4 * (BARRIER_CORES as u32 + 1), faulted)
+    Kernel::new(
+        barrier_asm,
+        SLOTS..RESULTS + 4 * (BARRIER_CORES as u32 + 1),
+        faulted,
+    )
 }
 
 /// The barrier column, with or without the fault plan, after the checks
@@ -774,12 +903,24 @@ fn barrier_column(faulted: bool) -> Column {
     let mem = d.mem.as_ref().unwrap();
     let gtid0 = u32::from_le_bytes(mem[0..4].try_into().unwrap());
     assert_eq!(gtid0, 16, "gtid 0 bumped its slot 16 times");
-    assert!(!d.series.as_ref().unwrap().samples.is_empty(), "the run is long enough to sample");
+    assert!(
+        !d.series.as_ref().unwrap().samples.is_empty(),
+        "the run is long enough to sample"
+    );
     let profile = vortex_obs::parse_profile(d.profile.as_ref().unwrap()).unwrap();
-    assert!(profile.sites.values().any(|s| s.divergences > 0), "divergent branch site attributed");
-    assert!(profile.sites.values().any(|s| s.loads > 0 && s.stores == 0), "load site attributed");
+    assert!(
+        profile.sites.values().any(|s| s.divergences > 0),
+        "divergent branch site attributed"
+    );
+    assert!(
+        profile.sites.values().any(|s| s.loads > 0 && s.stores == 0),
+        "load site attributed"
+    );
     if faulted {
-        assert!(d.fault_draws.iter().flatten().sum::<u64>() > 0, "fault streams consumed");
+        assert!(
+            d.fault_draws.iter().flatten().sum::<u64>() > 0,
+            "fault streams consumed"
+        );
     }
     column
 }
@@ -834,7 +975,11 @@ fn profile_is_byte_identical_run_to_run() {
 fn profile_json_round_trips_through_reader() {
     let doc = barrier().base.digest.profile.as_ref().unwrap();
     let parsed = vortex_obs::parse_profile(doc).expect("profile document parses");
-    assert_eq!(&vortex_obs::render_profile_json("invariants", &parsed), doc, "render∘parse");
+    assert_eq!(
+        &vortex_obs::render_profile_json("invariants", &parsed),
+        doc,
+        "render∘parse"
+    );
 }
 
 /// The profile payload rides in the core snapshot: a field save/restore
@@ -903,7 +1048,13 @@ fn busy_front_end_resume() {
     let resumed = Cell {
         name: "barrier/busy_front_end_resume".into(),
         digest: Digest {
-            mem: Some(kernel.out.clone().map(|addr| gpu.ram.read_u8(addr)).collect()),
+            mem: Some(
+                kernel
+                    .out
+                    .clone()
+                    .map(|addr| gpu.ram.read_u8(addr))
+                    .collect(),
+            ),
             fault_draws: Some(gpu.fault_draws()),
             stats,
             ..Digest::default()
@@ -926,10 +1077,17 @@ fn bench_column(
 ) -> Column {
     let name = bench.name();
     let run = move |config: &GpuConfig, drive| {
-        assert!(matches!(drive, Drive::Run), "benchmarks only run to completion");
+        assert!(
+            matches!(drive, Drive::Run),
+            "benchmarks only run to completion"
+        );
         let r = bench.run_on(config);
         let name = &r.name;
-        assert_eq!(r.profile.is_some(), config.profile, "{name}: a profile iff profiling is on");
+        assert_eq!(
+            r.profile.is_some(),
+            config.profile,
+            "{name}: a profile iff profiling is on"
+        );
         Digest {
             stats: r.stats,
             validated: Some(r.validated),
@@ -946,7 +1104,11 @@ fn bench_column(
 /// simulated state alone.
 fn assert_skips(column: &Column, skip_events: u64, (num, den): (u64, u64)) {
     let s = &column.base.digest.stats;
-    assert_eq!(s.skip_events, skip_events, "{}: jump count moved", column.name);
+    assert_eq!(
+        s.skip_events, skip_events,
+        "{}: jump count moved",
+        column.name
+    );
     assert!(
         s.cycles_skipped * den > s.cycles * num,
         "{}: skipped {} of {} cycles, under {num}/{den}",
@@ -968,7 +1130,10 @@ fn gate(name: &str) -> &'static Column {
             "sgemm" => (Box::new(Sgemm::default()), 81_970),
             "bfs" => (Box::new(Bfs::default()), 793_827),
             "nearn" => (Box::new(Nearn::default()), 23_140),
-            _ => (Box::new(TexBench::new(FilterKind::Bilinear, true, 6)), 47_603),
+            _ => (
+                Box::new(TexBench::new(FilterKind::Bilinear, true, 6)),
+                47_603,
+            ),
         };
         let rows: &[Row] = match name {
             "bfs" => &[PROFILED, SAMPLED, GATE_DRILL, FAST_FORWARD_OFF],
@@ -1010,7 +1175,10 @@ fn telemetry_sampling_is_timing_invisible() {
 fn gate_cycles_identical_with_profiling_on() {
     for name in GATES {
         let column = gate(name);
-        assert!(column.base.digest.profile.is_none(), "profiling off yields no profile");
+        assert!(
+            column.base.digest.profile.is_none(),
+            "profiling off yields no profile"
+        );
         profile_totals(column.check(&["profiled"])[0]);
     }
 }
@@ -1064,7 +1232,12 @@ fn bfs_mc16() {
 /// hardware texture sampling on 16 flat cores.
 #[test]
 fn raster_quick_mc16() {
-    bench_column(Box::new(RasterBench::quick()), GpuConfig::with_cores(16), &[], Some(226_212));
+    bench_column(
+        Box::new(RasterBench::quick()),
+        GpuConfig::with_cores(16),
+        &[],
+        Some(226_212),
+    );
 }
 
 /// Cycle at which [`reduce_snapshot_bytes_are_pinned`] pauses its run.
@@ -1100,23 +1273,43 @@ fn reduce_snapshot_bytes_are_pinned() {
     // tagged with their index, followed by the GPU's and the device's CRCs.
     let pages = dev.gpu().ram.resident_pages();
     let start = bytes.len() - 8 - 8 - pages * (4 + 4096);
-    assert_eq!(bytes[start..start + 8], (pages as u64).to_le_bytes(), "page count anchor");
+    assert_eq!(
+        bytes[start..start + 8],
+        (pages as u64).to_le_bytes(),
+        "page count anchor"
+    );
     let index = |k: usize| {
         let at = start + 8 + k * (4 + 4096);
         u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
     };
     let mut regions: Vec<u32> = (0..pages).map(|k| index(k) >> 10).collect();
     regions.dedup();
-    assert!(regions.len() >= 4, "pages in only {} 4 MiB regions", regions.len());
+    assert!(
+        regions.len() >= 4,
+        "pages in only {} 4 MiB regions",
+        regions.len()
+    );
     let top = smem_phys(SMEM_BASE, 15) >> 12;
-    assert!((0..pages).any(|k| index(k) == top), "core 15's scratchpad is resident");
+    assert!(
+        (0..pages).any(|k| index(k) == top),
+        "core 15's scratchpad is resident"
+    );
 
     // Recorded under the flat page directory that preceded the two-level
     // `Ram` table: how `Ram` holds its pages must not move a byte.
-    assert_eq!(vortex_snapshot::fnv1a64(&bytes), 0x20cd_6c71_6634_a115, "snapshot bytes moved");
+    assert_eq!(
+        vortex_snapshot::fnv1a64(&bytes),
+        0x20cd_6c71_6634_a115,
+        "snapshot bytes moved"
+    );
     let mut resumed = Device::new(GpuConfig::with_cores(16));
-    resumed.restore_snapshot(&bytes).expect("own snapshot restores");
-    assert!(resumed.save_snapshot() == bytes, "re-saved snapshot differs");
+    resumed
+        .restore_snapshot(&bytes)
+        .expect("own snapshot restores");
+    assert!(
+        resumed.save_snapshot() == bytes,
+        "re-saved snapshot differs"
+    );
 }
 
 /// Every kernel generator the repo ships assembles, to the same bytes as
@@ -1127,7 +1320,11 @@ fn reduce_snapshot_bytes_are_pinned() {
 fn kernel_images_are_pinned() {
     use vortex_gfx::{raster, RenderState};
     use vortex_kernels::{reduce, rodinia, texture};
-    let textured = RenderState { texturing: true, hw_texture: true, ..RenderState::default() };
+    let textured = RenderState {
+        texturing: true,
+        hw_texture: true,
+        ..RenderState::default()
+    };
     let mut images = vec![
         ("bfs".to_string(), rodinia::bfs::program()),
         ("gaussian".to_string(), rodinia::gaussian::program()),
@@ -1139,13 +1336,23 @@ fn kernel_images_are_pinned() {
         ("reduce/global".to_string(), reduce::program(false)),
         ("reduce/smem".to_string(), reduce::program(true)),
         ("raster/quick".to_string(), raster::program(&textured)),
-        ("raster/default".to_string(), raster::program(&RenderState::default())),
+        (
+            "raster/default".to_string(),
+            raster::program(&RenderState::default()),
+        ),
     ];
-    for filter in [FilterKind::Point, FilterKind::Bilinear, FilterKind::Trilinear] {
+    for filter in [
+        FilterKind::Point,
+        FilterKind::Bilinear,
+        FilterKind::Trilinear,
+    ] {
         for hw in [true, false] {
             let tag = format!("texture/{}/{}", filter.name(), if hw { "hw" } else { "sw" });
             let full_hd = TexBench::new(filter, hw, 10).with_target(1920, 1080);
-            images.push((format!("{tag}/128"), texture::program(&TexBench::new(filter, hw, 7))));
+            images.push((
+                format!("{tag}/128"),
+                texture::program(&TexBench::new(filter, hw, 7)),
+            ));
             images.push((format!("{tag}/1080p"), texture::program(&full_hd)));
         }
     }
@@ -1224,9 +1431,14 @@ fn sixteen_cores_share_one_decode_memo() {
     let misses = |cores| {
         let n = 12u32;
         let mut dev = Device::new(GpuConfig::with_cores(cores));
-        let bufs: Vec<_> = (0..3).map(|_| dev.alloc(n * n * 4).expect("alloc")).collect();
+        let bufs: Vec<_> = (0..3)
+            .map(|_| dev.alloc(n * n * 4).expect("alloc"))
+            .collect();
         let mut args = ArgWriter::new();
-        args.word(bufs[0].addr).word(bufs[1].addr).word(bufs[2].addr).word(n);
+        args.word(bufs[0].addr)
+            .word(bufs[1].addr)
+            .word(bufs[2].addr)
+            .word(n);
         dev.write_args(&args);
         let prog = vortex_kernels::rodinia::sgemm::program();
         dev.load_program(&prog);
@@ -1237,7 +1449,10 @@ fn sixteen_cores_share_one_decode_memo() {
     };
     let (one, sixteen) = (misses(1), misses(16));
     assert!(one > 20, "one core decodes the kernel text ({one} misses)");
-    assert!(sixteen <= 2 * one, "16 cores missed {sixteen} times, 1 core {one}");
+    assert!(
+        sixteen <= 2 * one,
+        "16 cores missed {sixteen} times, 1 core {one}"
+    );
 }
 
 /// Every instruction word the registered workloads execute resolves to the
@@ -1253,13 +1468,18 @@ fn memoized_slots_equal_fresh_resolution_on_every_workload_word() {
         column.check(&["decode_memo_off"]);
         let doc = column.base.digest.profile.as_ref().unwrap();
         let profile = vortex_obs::parse_profile(doc).expect("profile document parses");
-        assert!(profile.sites.len() > 20, "{name}: profile covers the kernel");
+        assert!(
+            profile.sites.len() > 20,
+            "{name}: profile covers the kernel"
+        );
         let mut memo = DecodeCache::new();
         for pass in 0..2 {
             for (&pc, site) in &profile.sites {
                 let instr = vortex_isa::decode(site.word).expect("executed word decodes");
                 assert_eq!(
-                    memo.decode(site.word).expect("executed word decodes").at(pc),
+                    memo.decode(site.word)
+                        .expect("executed word decodes")
+                        .at(pc),
                     Slot::resolve(&instr).at(pc),
                     "{name} pass {pass} pc {pc:#x} word {:#010x}",
                     site.word

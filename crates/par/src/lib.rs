@@ -89,13 +89,19 @@ where
                     }
                     local.push((i, f(i, &items[i])));
                 }
-                done.lock().expect("no poisoned result lock").append(&mut local);
+                done.lock()
+                    .expect("no poisoned result lock")
+                    .append(&mut local);
             });
         }
     });
     let mut tagged = done.into_inner().expect("no poisoned result lock");
     tagged.sort_unstable_by_key(|&(i, _)| i);
-    assert_eq!(tagged.len(), items.len(), "every work item produces a result");
+    assert_eq!(
+        tagged.len(),
+        items.len(),
+        "every work item produces a result"
+    );
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
