@@ -1,62 +1,75 @@
-//! Runs every table/figure regenerator and assembles an
-//! `EXPERIMENTS.md`-style report on stdout.
+//! The one report binary: regenerates the paper's evaluation (§6).
 //!
-//! Usage: `cargo run --release -p vortex-bench --bin all_experiments
-//! [--fast] > EXPERIMENTS.md` — the sibling binaries are invoked from the
-//! same target directory, so build the whole package first.
+//! * `all_experiments [--fast] > EXPERIMENTS.md` runs every report
+//!   in-process and concurrently, and prints them assembled in table order.
+//! * `all_experiments <name> [--fast|--1080p] [--stats-json FILE]` runs one
+//!   report and prints its markdown. `--stats-json` writes the report's
+//!   sweep rows as a `vortex-sweep-v1` document; `--1080p` is `fig20`'s
+//!   paper-scale frame.
+//!
+//! Exit codes: 0 done, 1 the sweep JSON could not be written, 2 usage.
 
-use std::process::Command;
+use vortex_bench::experiments::{render_all, run_all, Scale, REPORTS};
 
-const EXPERIMENTS: [(&str, &str); 13] = [
-    ("table1", "Table 1 — GPGPU ISA taxonomy"),
-    ("table6", "Table 6 — open-source GPGPU comparison"),
-    ("table3", "Table 3 — core-configuration synthesis"),
-    ("fig14", "Figure 14 — IPC by core configuration"),
-    ("table4", "Table 4 — multi-core synthesis"),
-    ("fig15", "Figure 15 — area distribution"),
-    ("fig16_17", "Figures 16/17 — ASIC power"),
-    ("fig18", "Figure 18 — performance scaling"),
-    ("table5", "Table 5 — virtual-port cache synthesis"),
-    ("fig19", "Figure 19 — bank utilization and IPC vs ports"),
-    ("fig20", "Figure 20 — HW vs SW texture filtering"),
-    ("fig21", "Figure 21 — memory latency/bandwidth scaling"),
-    ("ablation", "Ablation studies (beyond the paper)"),
-];
+fn usage(why: &str) -> ! {
+    let names: Vec<&str> = REPORTS.iter().map(|r| r.0).collect();
+    eprintln!(
+        "all_experiments: {why}\n\
+         usage: all_experiments [--fast]\n       \
+         all_experiments <name> [--fast|--1080p] [--stats-json FILE]\n\
+         reports: {}",
+        names.join(", ")
+    );
+    std::process::exit(2);
+}
 
 fn main() {
-    let me = std::env::current_exe().expect("own path");
-    let dir = me.parent().expect("target dir");
-    let fast = std::env::args().any(|a| a == "--fast");
-    println!("# Vortex-rs experiment report\n");
-    println!(
-        "Generated by `all_experiments{}`. Paper reference values are \
-         printed alongside measured/modelled values where published.\n",
-        if fast { " --fast" } else { "" }
-    );
-    // Regenerators run as concurrent child processes (each is itself an
-    // independent sweep); stdout is buffered per child and printed in the
-    // fixed EXPERIMENTS order, so the assembled report is byte-identical
-    // to a sequential run.
-    let outputs = vortex_bench::par::par_map(&EXPERIMENTS, |_, &(bin, _)| {
-        eprintln!("=== {bin} ===");
-        let path = dir.join(bin);
-        let mut cmd = Command::new(&path);
-        if fast {
-            cmd.arg("--fast");
+    let (mut name, mut scale, mut stats_json) = (None, Scale::Default, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fast" | "--1080p" if scale != Scale::Default => {
+                usage("give at most one of --fast and --1080p")
+            }
+            "--fast" => scale = Scale::Fast,
+            "--1080p" => scale = Scale::FullHd,
+            "--stats-json" => match args.next() {
+                Some(path) if !path.starts_with("--") => stats_json = Some(path),
+                _ => usage("--stats-json needs a FILE"),
+            },
+            _ if arg.starts_with('-') || name.is_some() => {
+                usage(&format!("unexpected argument `{arg}`"))
+            }
+            _ => name = Some(arg),
         }
-        let out = cmd
-            .output()
-            .unwrap_or_else(|e| panic!("failed to run {}: {e}", path.display()));
-        assert!(
-            out.status.success(),
-            "{bin} failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    });
-    for ((_, title), stdout) in EXPERIMENTS.iter().zip(&outputs) {
-        println!("## {title}\n");
-        println!("{}", stdout.trim_end());
-        println!();
+    }
+    if cfg!(debug_assertions) {
+        eprintln!("(note: debug build — run with --release for sane wall-clock times)");
+    }
+    let Some(name) = name else {
+        if scale == Scale::FullHd || stats_json.is_some() {
+            usage("--1080p and --stats-json need a report name");
+        }
+        print!("{}", render_all(scale, &run_all(scale)));
+        return;
+    };
+    let Some(&(_, _, sweep, report)) = REPORTS.iter().find(|r| r.0 == name) else {
+        usage(&format!("unknown report `{name}`"))
+    };
+    if scale == Scale::FullHd && name != "fig20" {
+        usage("--1080p applies to fig20 only");
+    }
+    if stats_json.is_some() && sweep.is_none() {
+        usage(&format!("{name} has no sweep rows for --stats-json"));
+    }
+    let report = report(scale);
+    print!("{}", report.markdown);
+    if let (Some(path), Some(title)) = (stats_json, sweep) {
+        let doc = vortex_obs::render_sweep(title, &report.rows);
+        if let Err(e) = std::fs::write(&path, doc) {
+            eprintln!("cannot write sweep JSON {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("wrote sweep JSON to {path}");
     }
 }

@@ -59,7 +59,8 @@
 //!   correctness.
 //!
 //! Exit codes (stable, for scripting):
-//! * `0` — PASS; `1` — host I/O error; `2` — usage error;
+//! * `0` — PASS; `1` — host I/O error; `2` — usage error, or a kernel
+//!   that does not assemble;
 //! * `10` — HANG (watchdog declared no forward progress);
 //! * `11` — TRAP (divergence misuse, illegal instruction, ...);
 //! * `12` — BAD ACCESS (reserved for the runtime driver's bounds faults;
@@ -81,7 +82,7 @@ use vortex_runtime::abi;
 
 /// Host-side I/O failure (unreadable kernel, unwritable artifact).
 const EXIT_IO: i32 = 1;
-/// Command-line usage error.
+/// Command-line usage error, or a kernel that does not assemble.
 const EXIT_USAGE: i32 = 2;
 /// The watchdog declared a hang.
 const EXIT_HANG: i32 = 10;
@@ -245,7 +246,7 @@ fn main() {
     });
     let program = parse_asm(&source, abi::CODE_BASE).unwrap_or_else(|e| {
         eprintln!("assembly error: {e}");
-        std::process::exit(EXIT_IO);
+        std::process::exit(EXIT_USAGE);
     });
     if disasm {
         println!("{}", program.disassemble());

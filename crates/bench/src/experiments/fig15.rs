@@ -1,14 +1,14 @@
 //! Figure 15: area distribution by component (8-core Arria 10 build).
 
-use vortex_bench::{f0, f2, preamble, Table};
+use super::{Report, Scale};
+use crate::{f0, f2, Table};
 use vortex_model::fpga::AREA_BREAKDOWN;
 use vortex_model::{gpu_synthesis, FpgaDevice};
 
-fn main() {
-    preamble("Figure 15 (area distribution)");
+pub fn report(_: Scale) -> Report {
     let total = gpu_synthesis(8, FpgaDevice::Arria10);
-    println!(
-        "8-core design: {}% of the Arria 10's ALMs (paper: 53%)\n",
+    let mut md = format!(
+        "8-core design: {}% of the Arria 10's ALMs (paper: 53%)\n\n",
         f0(total.alm_pct)
     );
     let mut t = Table::new(["component", "share", "ALM%-of-device"]);
@@ -19,9 +19,8 @@ fn main() {
             f2(total.alm_pct * share),
         ]);
     }
-    println!("{}", t.to_markdown());
-    println!(
-        "(paper: cost \"occupied primarily by the texture units and caches\"; \
-         FPU small because FMAs map to hard DSP blocks)"
-    );
+    md += &t.to_markdown();
+    md += "\n(paper: cost \"occupied primarily by the texture units and caches\"; \
+           FPU small because FMAs map to hard DSP blocks)\n";
+    Report::from(md)
 }

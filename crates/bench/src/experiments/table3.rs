@@ -1,11 +1,11 @@
 //! Table 3: synthesis results for different core configurations.
 
-use vortex_bench::{f0, preamble, Table, DESIGN_SPACE};
+use super::{Report, Scale, DESIGN_SPACE};
+use crate::{f0, Table};
 use vortex_model::calib::TABLE3;
 use vortex_model::core_resources;
 
-fn main() {
-    preamble("Table 3 (core-configuration synthesis)");
+pub fn report(_: Scale) -> Report {
     let mut t = Table::new([
         "config",
         "LUT",
@@ -35,5 +35,5 @@ fn main() {
             f0(p.fmax),
         ]);
     }
-    println!("{}", t.to_markdown());
+    Report::from(t.to_markdown() + "\n")
 }

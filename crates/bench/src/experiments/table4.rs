@@ -1,12 +1,12 @@
 //! Table 4: hardware synthesis for all core configurations (1-16 cores on
 //! Arria 10, 32 on Stratix 10).
 
-use vortex_bench::{f0, preamble, Table, CORE_COUNTS};
+use super::{Report, Scale, CORE_COUNTS};
+use crate::{f0, Table};
 use vortex_model::calib::TABLE4;
 use vortex_model::{gpu_synthesis, FpgaDevice};
 
-fn main() {
-    preamble("Table 4 (multi-core synthesis)");
+pub fn report(_: Scale) -> Report {
     let mut t = Table::new([
         "cores",
         "ALM% ",
@@ -47,5 +47,5 @@ fn main() {
             device.name().to_string(),
         ]);
     }
-    println!("{}", t.to_markdown());
+    Report::from(t.to_markdown() + "\n")
 }

@@ -1,11 +1,11 @@
 //! Table 5: virtual multi-ported 4-bank cache synthesis results.
 
-use vortex_bench::{f0, preamble, Table};
+use super::{Report, Scale};
+use crate::{f0, Table};
 use vortex_model::cache_resources;
 use vortex_model::calib::TABLE5;
 
-fn main() {
-    preamble("Table 5 (virtual-port cache synthesis)");
+pub fn report(_: Scale) -> Report {
     let mut t = Table::new([
         "ports",
         "LUT",
@@ -31,5 +31,5 @@ fn main() {
             f0(p.fmax),
         ]);
     }
-    println!("{}", t.to_markdown());
+    Report::from(t.to_markdown() + "\n")
 }

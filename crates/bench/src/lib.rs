@@ -1,12 +1,15 @@
 //! # vortex-bench
 //!
-//! The experiment harness: one binary per table and figure of the paper's
-//! evaluation (§6), each printing a paper-vs-measured comparison in
-//! markdown. `all_experiments` chains every regenerator and emits the
-//! content of `EXPERIMENTS.md`.
+//! The experiment harness: one report per table and figure of the paper's
+//! evaluation (§6), each a library function ([`experiments`]) returning a
+//! paper-vs-measured comparison in markdown and, for a simulated sweep,
+//! its typed rows. `all_experiments`, the one report binary, runs a report
+//! by name, or all of them to emit the content of `EXPERIMENTS.md`.
 //!
-//! | Binary | Reproduces |
+//! | Report | Reproduces |
 //! |---|---|
+//! | `table1` | Table 1 — GPGPU ISA taxonomy |
+//! | `table6` | Table 6 — open-source GPGPU comparison |
 //! | `table3` | Table 3 — per-core synthesis across `W×T` configs |
 //! | `fig14` | Figure 14 — IPC across `W×T` configs × 7 benchmarks |
 //! | `table4` | Table 4 — multi-core synthesis 1..32 cores |
@@ -17,6 +20,7 @@
 //! | `fig19` | Figure 19 — bank utilization + IPC vs virtual ports |
 //! | `fig20` | Figure 20 — HW vs SW texture filtering |
 //! | `fig21` | Figure 21 — memory latency/bandwidth scaling |
+//! | `ablation` | Ablations of design choices beyond the paper |
 //!
 //! Run with `--release`; the cycle-level simulator is 20-50× slower in
 //! debug builds.
@@ -25,9 +29,9 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use vortex_core::{GpuConfig, GpuStats};
-use vortex_kernels::{all_rodinia, BenchResult, Benchmark};
+use vortex_kernels::Benchmark;
 
+pub mod experiments;
 pub use vortex_par as par;
 
 /// A printable markdown table.
@@ -89,64 +93,6 @@ pub fn f0(v: f64) -> String {
     format!("{v:.0}")
 }
 
-/// `true` when the user asked for reduced problem sizes (`--fast` flag or
-/// `VORTEX_FAST` env var) — useful for smoke-testing the harness.
-pub fn is_fast() -> bool {
-    std::env::args().any(|a| a == "--fast") || std::env::var("VORTEX_FAST").is_ok()
-}
-
-/// The `--stats-json FILE` argument, when the user passed one.
-pub fn stats_json_arg() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--stats-json" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Writes the sweep's per-point stats as JSON when `--stats-json FILE`
-/// was given; a no-op otherwise. Every fig binary calls this after its
-/// markdown tables, so sweeps become machine-diffable without re-running.
-pub fn dump_sweep(title: &str, rows: &[(String, GpuStats)]) {
-    let Some(path) = stats_json_arg() else { return };
-    let doc = vortex_obs::render_sweep(title, rows);
-    if let Err(e) = std::fs::write(&path, doc) {
-        eprintln!("cannot write sweep JSON {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote sweep JSON to {path}");
-}
-
-/// The benchmark suite at the selected scale.
-pub fn suite() -> Vec<Box<dyn Benchmark>> {
-    if is_fast() {
-        vortex_kernels::rodinia::all_rodinia_small()
-    } else {
-        all_rodinia()
-    }
-}
-
-/// Runs every Rodinia benchmark on `config` (in parallel, one simulator
-/// instance per worker), asserting validation. Results come back in suite
-/// order regardless of worker count — see [`par::par_map`].
-///
-/// # Panics
-/// Panics if any benchmark fails validation — the experiments must not
-/// report numbers from wrong results.
-pub fn run_rodinia_suite(config: &GpuConfig) -> Vec<BenchResult> {
-    par::par_map(&suite(), |_, b| {
-        let r = b.run_on(config);
-        assert!(
-            r.validated,
-            "{} failed validation on {} cores",
-            r.name, config.num_cores
-        );
-        r
-    })
-}
-
 /// The named workloads `vxprof` can profile: the four snapshot-gate
 /// kernels plus the full graphics pipeline. `fast` selects the CI smoke
 /// sizes; otherwise the gate-pinned full sizes run.
@@ -175,21 +121,6 @@ pub fn registered_benches(fast: bool) -> Vec<(&'static str, Box<dyn Benchmark>)>
             ),
             ("raster", Box::new(RasterBench::default())),
         ]
-    }
-}
-
-/// The five design-space configurations of Table 3 / Figure 14, as
-/// `(wavefronts, threads)`.
-pub const DESIGN_SPACE: [(usize, usize); 5] = [(4, 4), (2, 8), (8, 2), (4, 8), (8, 4)];
-
-/// The core counts of Table 4 / Figure 18.
-pub const CORE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Standard experiment preamble: name + reminder about release builds.
-pub fn preamble(what: &str) {
-    eprintln!("# Reproducing {what}");
-    if cfg!(debug_assertions) {
-        eprintln!("(note: debug build — run with --release for sane wall-clock times)");
     }
 }
 

@@ -1,10 +1,11 @@
 //! Process-level smokes for the installed binaries and the export paths:
 //! `vxsim` and `vxprof` end to end, `vxsim --trace` on failing outcomes
-//! (where it matters most), the hang exit code and its artifacts, the
+//! (where it matters most), the hang and assembly-error exit codes, the
 //! stats-JSON and Perfetto exports parsing with their schemas' required
-//! keys, structured rejection of bad numeric flags, and the parallel
-//! sweep runner being invisible to sweep results. The simulator's
-//! bit-identity contract lives in `invariants.rs`.
+//! keys, structured rejection of bad numeric flags, `all_experiments`'
+//! usage errors and sweep export, and the parallel sweep runner being
+//! invisible to sweep results. The simulator's bit-identity contract lives
+//! in `invariants.rs`; the reports' contents are checked in `reports.rs`.
 
 use std::process::Command;
 use vortex_bench::par;
@@ -460,4 +461,79 @@ fn vxsim_trace_out_redirects_the_dump() {
     assert!(text.lines().filter(|l| l.contains("core0 w0")).count() > 10);
     assert!(!String::from_utf8_lossy(&out.stdout).contains("core0 w0"));
     assert!(!String::from_utf8_lossy(&out.stderr).contains("core0 w0"));
+}
+
+/// A kernel that does not assemble is a usage error (exit 2) that names
+/// the offending line; an unreadable kernel file stays a host I/O error
+/// (exit 1).
+#[test]
+fn vxsim_assembly_error_exits_2_and_names_the_line() {
+    let dir = std::env::temp_dir().join(format!("vxsim_asm_error_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = dir.join("bad.s");
+    std::fs::write(&kernel, "li x5, 1\ncsrr x6, 0x1abc\necall\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_vxsim"))
+        .arg(&kernel)
+        .output()
+        .expect("vxsim runs");
+    let missing = Command::new(env!("CARGO_BIN_EXE_vxsim"))
+        .arg(dir.join("missing.s"))
+        .output()
+        .expect("vxsim runs");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(2), "an assembly error exits 2");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("line 2"), "the error names line 2, got: {err}");
+    assert_eq!(missing.status.code(), Some(1), "a missing kernel exits 1");
+}
+
+/// `all_experiments` refuses what it cannot honour with a usage error
+/// (exit 2) before it runs anything, and `<name> --stats-json FILE`
+/// exports the report's sweep rows.
+#[test]
+fn all_experiments_usage_errors_and_sweep_export() {
+    let bad: &[(&[&str], &str)] = &[
+        (&["fig99"], "unknown report `fig99`"),
+        (&["fig18", "--fsat"], "unexpected argument `--fsat`"),
+        (&["table3", "--1080p"], "--1080p applies to fig20 only"),
+        (&["--stats-json", "x"], "need a report name"),
+        (&["table3", "--stats-json", "x"], "table3 has no sweep rows"),
+        (
+            &["fig19", "--stats-json", "--fast"],
+            "--stats-json needs a FILE",
+        ),
+        (
+            &["fig19", "--fast", "--1080p"],
+            "at most one of --fast and --1080p",
+        ),
+    ];
+    for &(args, expect) in bad {
+        let out = Command::new(env!("CARGO_BIN_EXE_all_experiments"))
+            .args(args)
+            .output()
+            .expect("all_experiments runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
+        assert!(out.stdout.is_empty(), "{args:?} must print no report");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(expect),
+            "{args:?}: expected `{expect}`, got: {err}"
+        );
+    }
+
+    let path = std::env::temp_dir().join(format!("fig19_sweep_{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_all_experiments"))
+        .args(["fig19", "--fast", "--stats-json", path.to_str().unwrap()])
+        .output()
+        .expect("all_experiments runs");
+    assert!(out.status.success(), "fig19 --fast must pass: {out:?}");
+    let doc = std::fs::read_to_string(&path).expect("sweep JSON written");
+    std::fs::remove_file(&path).unwrap();
+    let v = Value::parse(&doc).expect("sweep JSON parses");
+    assert_eq!(
+        v.get("schema").and_then(Value::as_str),
+        Some("vortex-sweep-v1")
+    );
+    let points = v.get("points").and_then(Value::as_arr).expect("points");
+    assert_eq!(points.len(), 21, "7 kernels x 3 port counts");
 }
