@@ -1312,6 +1312,136 @@ fn reduce_snapshot_bytes_are_pinned() {
     );
 }
 
+/// The reduce kernel of [`reduce_snapshot_bytes_are_pinned`] on `config`,
+/// loaded but not launched: the device and the kernel's entry.
+fn reduce_device(config: GpuConfig) -> (vortex_runtime::Device, u32) {
+    use vortex_runtime::{ArgWriter, Device};
+    let n = 4096u32;
+    let mut dev = Device::new(config);
+    let data: Vec<u8> = (0..n).flat_map(|i| (i * 37 % 1000).to_le_bytes()).collect();
+    let input = dev.alloc(4 * n).expect("alloc in");
+    dev.upload(input, &data).expect("upload");
+    let out = dev.alloc(4 * 16).expect("alloc out");
+    let mut args = ArgWriter::new();
+    args.word(input.addr).word(out.addr).word(n).word(0);
+    dev.write_args(&args);
+    let program = vortex_kernels::reduce::program(true);
+    dev.load_program(&program);
+    (dev, program.entry)
+}
+
+/// The HW-texture bilinear blit of the `texture` gate (a 64×64 texture),
+/// loaded but not launched: the device and the kernel's entry.
+fn texture_device(config: GpuConfig) -> (vortex_runtime::Device, u32) {
+    use vortex_kernels::texture::{build_texture_with_mips, program};
+    use vortex_runtime::{ArgWriter, Device};
+    let bench = TexBench::new(FilterKind::Bilinear, true, 6);
+    let tex = build_texture_with_mips(6);
+    let mut dev = Device::new(config);
+    let buf_tex = dev.alloc(tex.len() as u32).expect("alloc tex");
+    let buf_dst = dev.alloc(64 * 64 * 4).expect("alloc dst");
+    dev.upload(buf_tex, &tex).expect("upload tex");
+    let mut args = ArgWriter::new();
+    args.word(buf_tex.addr)
+        .word(6)
+        .word(buf_dst.addr)
+        .word(1)
+        .float(0.0)
+        .word(0)
+        .word(buf_tex.addr + 64 * 64 * 4);
+    dev.write_args(&args);
+    let prog = program(&bench);
+    dev.load_program(&prog);
+    (dev, prog.entry)
+}
+
+/// Runs a loaded device `pause` cycles into its kernel and returns the
+/// `fnv1a64` of its `.vxsnap` bytes, after checking that they restore and
+/// re-save to themselves.
+fn paused_snapshot_digest((mut dev, entry): (vortex_runtime::Device, u32), pause: u64) -> u64 {
+    use vortex_runtime::{Device, RuntimeError};
+    dev.max_cycles = pause;
+    match dev.run_kernel(entry) {
+        Err(RuntimeError::Timeout { .. }) => {}
+        other => panic!("expected a pause mid-kernel, got {other:?}"),
+    }
+    let bytes = dev.save_snapshot();
+    let mut resumed = Device::new(dev.gpu().config().clone());
+    resumed
+        .restore_snapshot(&bytes)
+        .expect("own snapshot restores");
+    assert!(
+        resumed.save_snapshot() == bytes,
+        "re-saved snapshot differs"
+    );
+    vortex_snapshot::fnv1a64(&bytes)
+}
+
+/// Mid-kernel `.vxsnap` bytes of every machine shape and observer the
+/// snapshot carries, pinned across versions: four clusters behind L2s and
+/// an L3, telemetry sampling, the profiler, a fault plan, and the texture
+/// unit. A change to how any component saves its state moves one of these.
+#[test]
+fn snapshot_bytes_are_pinned_per_component() {
+    let with = |edit: fn(&mut GpuConfig)| {
+        let mut c = GpuConfig::with_cores(16);
+        edit(&mut c);
+        c
+    };
+    let clustered = with(|c| {
+        c.cores_per_cluster = 4;
+        c.l2 = Some(vortex_mem::hierarchy::l2_default());
+        c.l3 = Some(vortex_mem::hierarchy::l3_default());
+    });
+    let faulted = {
+        let (mut dev, entry) = reduce_device(GpuConfig::with_cores(16));
+        let spec = "seed=1,elastic_stall=200,dram_delay=300,dram_extra_latency=64";
+        dev.gpu_mut()
+            .apply_faults(&FaultConfig::from_spec(spec).expect("valid spec"));
+        (dev, entry)
+    };
+    let got = [
+        (
+            "clusters4_l2_l3",
+            paused_snapshot_digest(reduce_device(clustered), REDUCE_PAUSE),
+        ),
+        (
+            "sampled",
+            paused_snapshot_digest(
+                reduce_device(with(|c| c.sample_interval = INTERVAL)),
+                REDUCE_PAUSE,
+            ),
+        ),
+        (
+            "profiled",
+            paused_snapshot_digest(reduce_device(with(|c| c.profile = true)), REDUCE_PAUSE),
+        ),
+        ("faulted", paused_snapshot_digest(faulted, REDUCE_PAUSE)),
+        (
+            "hw_texture",
+            paused_snapshot_digest(texture_device(GpuConfig::with_cores(1)), 20_000),
+        ),
+    ];
+    let pinned = [
+        ("clusters4_l2_l3", 0xb6a8_99b0_42af_410b),
+        ("sampled", 0xc6d4_2a9c_15a1_3bb5),
+        ("profiled", 0x34d1_76bd_9797_2187),
+        ("faulted", 0x24e2_f234_e982_b476),
+        ("hw_texture", 0x6d82_a628_d8f5_a218),
+    ];
+    let moved: Vec<String> = got
+        .iter()
+        .zip(pinned)
+        .filter(|((_, a), (_, b))| a != b)
+        .map(|((name, a), (_, b))| format!("{name}: {a:#018x}, pinned {b:#018x}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "snapshot bytes moved:\n{}",
+        moved.join("\n")
+    );
+}
+
 /// Every kernel generator the repo ships assembles, to the same bytes as
 /// before encodability was checked in one place: the `fnv1a64` of each
 /// `Program::to_bytes()` is pinned, the texture kernels at both Figure 20
