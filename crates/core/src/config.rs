@@ -1,9 +1,9 @@
 //! Processor configuration: the design-space knobs of §6.2.1.
 
+use crate::scheduler::SchedPolicy;
 use vortex_mem::cache::CacheConfig;
 use vortex_mem::dram::DramConfig;
 use vortex_mem::smem::SharedMemConfig;
-use crate::scheduler::SchedPolicy;
 use vortex_tex::TexUnitConfig;
 
 /// Device addresses at or above this value target the per-core shared

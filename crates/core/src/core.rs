@@ -316,8 +316,7 @@ impl Core {
 
     /// `true` when every wavefront has halted and all machinery drained.
     pub fn is_done(&self) -> bool {
-        self.drained
-            || self.is_done_slow()
+        self.drained || self.is_done_slow()
     }
 
     fn is_done_slow(&self) -> bool {
@@ -489,14 +488,14 @@ impl Core {
             instr_pc,
             &mut self.exec_pool,
         )
-            .map_err(|trap| {
-                let (core, pc) = (self.id, instr_pc);
-                match trap {
-                    Trap::DivergenceUnderflow => SimError::DivergenceUnderflow { core, wid, pc },
-                    Trap::DivergenceOverflow => SimError::DivergenceOverflow { core, wid, pc },
-                    Trap::DivergentBranch => SimError::DivergentBranch { core, wid, pc },
-                }
-            })?;
+        .map_err(|trap| {
+            let (core, pc) = (self.id, instr_pc);
+            match trap {
+                Trap::DivergenceUnderflow => SimError::DivergenceUnderflow { core, wid, pc },
+                Trap::DivergenceOverflow => SimError::DivergenceOverflow { core, wid, pc },
+                Trap::DivergentBranch => SimError::DivergentBranch { core, wid, pc },
+            }
+        })?;
         if result.halted {
             // Discard any prefetched work of the halted wavefront.
             self.front.clear(wid);

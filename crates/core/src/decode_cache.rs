@@ -166,7 +166,11 @@ mod tests {
         for round in 0..3 {
             for &w in &words {
                 let slot = cache.decode(w).unwrap();
-                assert_eq!(slot.instr, decode(w).unwrap(), "round {round} word {w:#010x}");
+                assert_eq!(
+                    slot.instr,
+                    decode(w).unwrap(),
+                    "round {round} word {w:#010x}"
+                );
                 assert_eq!(slot.pc, w);
             }
         }

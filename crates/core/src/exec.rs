@@ -14,8 +14,8 @@ use crate::scoreboard::RegId;
 use crate::warp::Wavefront;
 use vortex_isa::csr;
 use vortex_isa::{
-    BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth, OpImmKind,
-    OpKind, StoreWidth,
+    BranchCond, CsrKind, CsrSrc, FmaKind, FpCmpKind, FpOpKind, Instr, LoadWidth, OpImmKind, OpKind,
+    StoreWidth,
 };
 use vortex_mem::Ram;
 use vortex_tex::{FilterMode, TexFormat, TexState, WrapMode};
@@ -367,7 +367,7 @@ fn fcvt_w_s(f: f32, signed: bool) -> u32 {
 fn fclass(bits: u32) -> u32 {
     let f = f32::from_bits(bits);
     let sign = bits >> 31 == 1;
-    
+
     if f.is_nan() {
         if bits & 0x0040_0000 != 0 {
             1 << 9 // quiet NaN
@@ -487,10 +487,7 @@ pub fn execute_with(
         Instr::Jalr { rd, rs1, offset } => {
             // Jump target must be uniform across active lanes.
             let lane0 = tmask.trailing_zeros() as usize;
-            let target = regs
-                .read_x(wid, lane0, rs1)
-                .wrapping_add(offset as u32)
-                & !1;
+            let target = regs.read_x(wid, lane0, rs1).wrapping_add(offset as u32) & !1;
             if !(0..nt).all(|t| {
                 tmask & (1 << t) == 0
                     || regs.read_x(wid, t, rs1).wrapping_add(offset as u32) & !1 == target
@@ -603,7 +600,9 @@ pub fn execute_with(
             let mut r = ExecResult::unit(FuKind::Alu);
             r.wb = Some(Writeback {
                 reg: rd.into(),
-                values: pool.lanes(nt, tmask, &mut |t| alu_op(kind, regs.read_x(wid, t, rs1), imm as u32)),
+                values: pool.lanes(nt, tmask, &mut |t| {
+                    alu_op(kind, regs.read_x(wid, t, rs1), imm as u32)
+                }),
             });
             r
         }
@@ -637,7 +636,12 @@ pub fn execute_with(
             r.halted = true;
             r
         }
-        Instr::Csr { kind, rd, csr: addr, src } => {
+        Instr::Csr {
+            kind,
+            rd,
+            csr: addr,
+            src,
+        } => {
             let old = |t: usize| csr_read(csrf, env, wid, t, addr);
             let mut r = ExecResult::unit(FuKind::Sfu);
             if rd != vortex_isa::Reg::X0 {
@@ -882,7 +886,11 @@ pub fn execute_with(
             }
             let next_pc = instr_pc.wrapping_add(4);
             let mut r = ExecResult::unit(FuKind::Sfu);
-            match wf.ipdom.split(tmask, pred_mask, next_pc).map_err(Trap::from)? {
+            match wf
+                .ipdom
+                .split(tmask, pred_mask, next_pc)
+                .map_err(Trap::from)?
+            {
                 SplitOutcome::Uniform => {}
                 SplitOutcome::Diverged { then_mask } => {
                     wf.tmask = then_mask;
@@ -911,7 +919,13 @@ pub fn execute_with(
             r.barrier = Some((id, count));
             r
         }
-        Instr::Tex { rd, u, v, lod, stage } => {
+        Instr::Tex {
+            rd,
+            u,
+            v,
+            lod,
+            stage,
+        } => {
             let coords: Vec<Option<(f32, f32, f32)>> = (0..nt)
                 .map(|t| {
                     if tmask & (1 << t) != 0 {
@@ -963,9 +977,7 @@ fn csr_read(csrf: &CsrFile, env: &ExecEnv, wid: usize, tid: usize, addr: u16) ->
         csr::VX_NT => env.num_threads as u32,
         csr::VX_NW => env.num_wavefronts as u32,
         csr::VX_NC => env.num_cores as u32,
-        csr::VX_GTID => {
-            (((env.core_id * env.num_wavefronts + wid) * env.num_threads) + tid) as u32
-        }
+        csr::VX_GTID => (((env.core_id * env.num_wavefronts + wid) * env.num_threads) + tid) as u32,
         _ => 0,
     }
 }
@@ -1031,10 +1043,7 @@ mod tests {
         )
         .unwrap();
         let wb = r.wb.unwrap();
-        assert_eq!(
-            wb.values,
-            vec![Some(1), Some(11), Some(21), Some(31)]
-        );
+        assert_eq!(wb.values, vec![Some(1), Some(11), Some(21), Some(31)]);
         assert_eq!(r.fu, FuKind::Alu);
     }
 
@@ -1057,10 +1066,7 @@ mod tests {
             0x100,
         )
         .unwrap();
-        assert_eq!(
-            r.wb.unwrap().values,
-            vec![Some(7), None, Some(7), None]
-        );
+        assert_eq!(r.wb.unwrap().values, vec![Some(7), None, Some(7), None]);
     }
 
     #[test]
@@ -1132,7 +1138,15 @@ mod tests {
     #[test]
     fn unbalanced_join_traps() {
         let (mut wf, regs, mut ram, mut csrf, env) = setup(2);
-        let r = execute(&mut wf, &regs, &mut ram, &mut csrf, &env, &Instr::Join, 0x100);
+        let r = execute(
+            &mut wf,
+            &regs,
+            &mut ram,
+            &mut csrf,
+            &env,
+            &Instr::Join,
+            0x100,
+        );
         assert_eq!(r, Err(Trap::DivergenceUnderflow));
     }
 
@@ -1163,7 +1177,13 @@ mod tests {
             vec![Some(0xAABB_CCDD), Some(0x1122_3344)]
         );
         let mem = r.mem.unwrap();
-        assert_eq!(mem[0], Some(LaneAccess { addr: 0x1000, write: false }));
+        assert_eq!(
+            mem[0],
+            Some(LaneAccess {
+                addr: 0x1000,
+                write: false
+            })
+        );
     }
 
     #[test]
@@ -1241,11 +1261,29 @@ mod tests {
         assert!(r.diverged);
         assert_eq!(wf.tmask, 0b0101);
         // First join switches to the else side at 0x104.
-        execute(&mut wf, &regs, &mut ram, &mut csrf, &env, &Instr::Join, 0x200).unwrap();
+        execute(
+            &mut wf,
+            &regs,
+            &mut ram,
+            &mut csrf,
+            &env,
+            &Instr::Join,
+            0x200,
+        )
+        .unwrap();
         assert_eq!(wf.tmask, 0b1010);
         assert_eq!(wf.pc, 0x104);
         // Second join restores.
-        execute(&mut wf, &regs, &mut ram, &mut csrf, &env, &Instr::Join, 0x104).unwrap();
+        execute(
+            &mut wf,
+            &regs,
+            &mut ram,
+            &mut csrf,
+            &env,
+            &Instr::Join,
+            0x104,
+        )
+        .unwrap();
         assert_eq!(wf.tmask, 0b1111);
     }
 

@@ -572,10 +572,7 @@ impl Gpu {
             .map_err(|e| SimError::SnapshotCorrupt(e.to_string()))
     }
 
-    fn restore_snapshot_inner(
-        &mut self,
-        bytes: &[u8],
-    ) -> vortex_snapshot::SnapResult<()> {
+    fn restore_snapshot_inner(&mut self, bytes: &[u8]) -> vortex_snapshot::SnapResult<()> {
         let payload = vortex_snapshot::open(bytes, self.config_fingerprint())?;
         let mut r = vortex_snapshot::Reader::new(payload);
         self.cycle = r.u64()?;
@@ -881,7 +878,11 @@ mod tests {
         let mut a = Assembler::new();
         a.lfi(vortex_isa::FReg::X1, 3.0);
         a.lfi(vortex_isa::FReg::X2, 4.0);
-        a.fmul(vortex_isa::FReg::X3, vortex_isa::FReg::X1, vortex_isa::FReg::X1);
+        a.fmul(
+            vortex_isa::FReg::X3,
+            vortex_isa::FReg::X1,
+            vortex_isa::FReg::X1,
+        );
         a.fmadd(
             vortex_isa::FReg::X3,
             vortex_isa::FReg::X2,

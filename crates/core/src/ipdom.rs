@@ -278,7 +278,10 @@ mod tests {
                 match s.split(tmask, pred, 0).unwrap() {
                     SplitOutcome::Uniform => {}
                     SplitOutcome::Diverged { then_mask } => {
-                        let Ok(JoinOutcome::Branch { tmask: else_mask, .. }) = s.join() else {
+                        let Ok(JoinOutcome::Branch {
+                            tmask: else_mask, ..
+                        }) = s.join()
+                        else {
                             panic!("first join must branch");
                         };
                         assert_eq!(then_mask | else_mask, tmask);

@@ -304,8 +304,14 @@ mod tests {
     fn load_completes_when_all_lanes_respond() {
         let mut lsu = Lsu::new(2);
         let accesses = vec![
-            Some(LaneAccess { addr: 0x100, write: false }),
-            Some(LaneAccess { addr: 0x200, write: false }),
+            Some(LaneAccess {
+                addr: 0x100,
+                write: false,
+            }),
+            Some(LaneAccess {
+                addr: 0x200,
+                write: false,
+            }),
         ];
         lsu.issue_load(1, &accesses, wb(2));
         assert_eq!(lsu.dcache_groups.len(), 1);
@@ -323,8 +329,14 @@ mod tests {
     fn smem_addresses_route_to_smem_queue() {
         let mut lsu = Lsu::new(2);
         let accesses = vec![
-            Some(LaneAccess { addr: SMEM_BASE + 4, write: false }),
-            Some(LaneAccess { addr: 0x100, write: false }),
+            Some(LaneAccess {
+                addr: SMEM_BASE + 4,
+                write: false,
+            }),
+            Some(LaneAccess {
+                addr: 0x100,
+                write: false,
+            }),
         ];
         lsu.issue_load(0, &accesses, wb(2));
         assert_eq!(lsu.smem_groups.len(), 1);
@@ -334,7 +346,10 @@ mod tests {
     #[test]
     fn entry_exhaustion_blocks_acceptance() {
         let mut lsu = Lsu::new(1);
-        let accesses = vec![Some(LaneAccess { addr: 0, write: false })];
+        let accesses = vec![Some(LaneAccess {
+            addr: 0,
+            write: false,
+        })];
         assert!(lsu.can_accept_load());
         lsu.issue_load(0, &accesses, wb(1));
         assert!(!lsu.can_accept_load());
@@ -353,7 +368,10 @@ mod tests {
         // Entry 256's tag must not alias entry 0's, or a response for the
         // one clears the other's lane.
         let mut lsu = Lsu::new(300);
-        let access = [Some(LaneAccess { addr: 0x100, write: false })];
+        let access = [Some(LaneAccess {
+            addr: 0x100,
+            write: false,
+        })];
         for wid in 0..=256 {
             lsu.issue_load(wid, &access, wb(1));
             lsu.dcache_groups.clear();
@@ -369,8 +387,14 @@ mod tests {
     fn store_tracking_supports_fences() {
         let mut lsu = Lsu::new(1);
         lsu.issue_store(&[
-            Some(LaneAccess { addr: 0x10, write: true }),
-            Some(LaneAccess { addr: 0x20, write: true }),
+            Some(LaneAccess {
+                addr: 0x10,
+                write: true,
+            }),
+            Some(LaneAccess {
+                addr: 0x20,
+                write: true,
+            }),
         ]);
         assert_eq!(lsu.outstanding_stores, 2);
         lsu.stores_accepted(2);

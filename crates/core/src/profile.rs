@@ -224,7 +224,13 @@ impl CoreProfile {
     /// Charges `n` stall cycles to the instruction waiting at `pc` — the
     /// bulk form the fast-forward engine uses when it skips a span of
     /// cycles whose issue scan would have charged this site every cycle.
-    pub fn record_stall_n(&mut self, pc: u32, word: impl FnOnce() -> u32, scoreboard: bool, n: u64) {
+    pub fn record_stall_n(
+        &mut self,
+        pc: u32,
+        word: impl FnOnce() -> u32,
+        scoreboard: bool,
+        n: u64,
+    ) {
         let s = self.site(pc, word);
         if scoreboard {
             s.stall_scoreboard += n;

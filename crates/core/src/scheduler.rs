@@ -164,7 +164,11 @@ mod tests {
         let picks: Vec<usize> = (0..4).map(|_| s.pick(ready).unwrap()).collect();
         let mut sorted = picks.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3], "each wavefront picked once per round");
+        assert_eq!(
+            sorted,
+            vec![0, 1, 2, 3],
+            "each wavefront picked once per round"
+        );
     }
 
     #[test]

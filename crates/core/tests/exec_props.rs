@@ -6,7 +6,7 @@ use vortex_core::exec::{self, CsrFile, ExecEnv};
 use vortex_core::ipdom::{IpdomStack, JoinOutcome, SplitOutcome};
 use vortex_core::regfile::RegFile;
 use vortex_core::warp::Wavefront;
-use vortex_isa::{FpOpKind, FReg, Instr, OpKind, Reg};
+use vortex_isa::{FReg, FpOpKind, Instr, OpKind, Reg};
 use vortex_mem::Ram;
 
 fn env() -> ExecEnv {

@@ -180,9 +180,16 @@ fn restore_failure_does_not_poison_future_restores() {
     fresh
         .restore_snapshot(&snap)
         .expect("pristine snapshot restores after a corrupt attempt");
-    assert_eq!(fresh.cycle(), gpu.cycle(), "restored machine is at the pause point");
+    assert_eq!(
+        fresh.cycle(),
+        gpu.cycle(),
+        "restored machine is at the pause point"
+    );
     let stats = fresh.run(100_000).expect("restored machine completes");
-    assert!(stats.cycles > gpu.cycle(), "machine made progress after restore");
+    assert!(
+        stats.cycles > gpu.cycle(),
+        "machine made progress after restore"
+    );
 }
 
 #[test]
@@ -197,7 +204,11 @@ fn nonzero_reserved_store_count_is_refused() {
     gpu.core(0).stats_snapshot().save(&mut stats);
     let at = HEADER_BYTES + 3 * 8 + core.len() - stats.len() - 2 - 8 - 8;
     let anchor = [0u64.to_le_bytes(), gpu.cycle().to_le_bytes()].concat();
-    assert_eq!(snap[at..at + 16], anchor, "reserved word, then the core's cycle");
+    assert_eq!(
+        snap[at..at + 16],
+        anchor,
+        "reserved word, then the core's cycle"
+    );
 
     // Re-sealed, so the refusal comes from the field check and not from
     // the checksum.
@@ -206,7 +217,10 @@ fn nonzero_reserved_store_count_is_refused() {
     reseal(&mut bad);
     match fresh_gpu().restore_snapshot(&bad) {
         Err(SimError::SnapshotCorrupt(reason)) => {
-            assert!(reason.contains("reserved"), "diagnosis must name the field: {reason}");
+            assert!(
+                reason.contains("reserved"),
+                "diagnosis must name the field: {reason}"
+            );
         }
         other => panic!("non-zero reserved field accepted: {other:?}"),
     }
@@ -262,8 +276,16 @@ fn out_of_order_ram_pages_are_refused() {
     let start = snap.len() - 4 - 8 - 2 * (4 + 4096);
     let second = start + 8 + 4 + 4096;
     let anchor = [&2u64.to_le_bytes()[..], &1u32.to_le_bytes()].concat();
-    assert_eq!(snap[start..start + 12], anchor, "page count, then the first index");
-    assert_eq!(snap[second..second + 4], 0x80000u32.to_le_bytes(), "the code page");
+    assert_eq!(
+        snap[start..start + 12],
+        anchor,
+        "page count, then the first index"
+    );
+    assert_eq!(
+        snap[second..second + 4],
+        0x80000u32.to_le_bytes(),
+        "the code page"
+    );
 
     // A duplicate index, then a descending one, each re-sealed so the
     // refusal comes from the order check and not from the checksum.
@@ -273,7 +295,10 @@ fn out_of_order_ram_pages_are_refused() {
         reseal(&mut bad);
         match fresh_gpu().restore_snapshot(&bad) {
             Err(SimError::SnapshotCorrupt(reason)) => {
-                assert!(reason.contains("page order"), "diagnosis must name the order: {reason}");
+                assert!(
+                    reason.contains("page order"),
+                    "diagnosis must name the order: {reason}"
+                );
             }
             other => panic!("page {idx:#x} out of order accepted: {other:?}"),
         }

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use vortex_asm::Assembler;
-use vortex_core::{Gpu, GpuConfig, GpuStats, SimError};
 use vortex_core::CoreConfig;
+use vortex_core::{Gpu, GpuConfig, GpuStats, SimError};
 use vortex_faults::FaultConfig;
 use vortex_isa::{csr, Reg};
 

@@ -106,10 +106,7 @@ fn cold_load_costs_dram_latency_warm_load_does_not() {
         cold >= dram_latency,
         "cold miss must include DRAM latency: {cold} < {dram_latency}"
     );
-    assert!(
-        warm < dram_latency / 2,
-        "warm hit must avoid DRAM: {warm}"
-    );
+    assert!(warm < dram_latency / 2, "warm hit must avoid DRAM: {warm}");
 }
 
 #[test]
@@ -193,10 +190,17 @@ fn race(storer: usize, pad_store: bool, pad_load: bool) -> (i64, u32) {
 #[test]
 fn same_cycle_store_is_visible_to_higher_core_ids_only() {
     for (storer, same_cycle) in [(0, 1), (1, 0)] {
-        let sweep = [(true, false, 0), (false, false, same_cycle), (false, true, 1)];
+        let sweep = [
+            (true, false, 0),
+            (false, false, same_cycle),
+            (false, true, 1),
+        ];
         for (want_delta, (pad_store, pad_load, want)) in (-1..=1).zip(sweep) {
             let (delta, loaded) = race(storer, pad_store, pad_load);
-            assert_eq!(delta, want_delta, "pad sweep missed its cycle (storer {storer})");
+            assert_eq!(
+                delta, want_delta,
+                "pad sweep missed its cycle (storer {storer})"
+            );
             assert_eq!(
                 loaded, want,
                 "core {storer} stores, load issues {delta:+} cycles from the store"

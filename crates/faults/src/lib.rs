@@ -285,16 +285,26 @@ mod tests {
 
     #[test]
     fn distinct_sites_diverge() {
-        let cfg = FaultConfig { seed: 17, elastic_stall: 500, ..FaultConfig::off() };
+        let cfg = FaultConfig {
+            seed: 17,
+            elastic_stall: 500,
+            ..FaultConfig::off()
+        };
         let mut a = cfg.plan(site::icache(0));
         let mut b = cfg.plan(site::icache(1));
-        let agree = (0..4096).filter(|_| a.stall_elastic() == b.stall_elastic()).count();
+        let agree = (0..4096)
+            .filter(|_| a.stall_elastic() == b.stall_elastic())
+            .count();
         assert!(agree < 4096, "independent sites should not be identical");
     }
 
     #[test]
     fn rates_are_roughly_honoured() {
-        let cfg = FaultConfig { seed: 3, elastic_stall: 250, ..FaultConfig::off() };
+        let cfg = FaultConfig {
+            seed: 3,
+            elastic_stall: 250,
+            ..FaultConfig::off()
+        };
         let mut p = cfg.plan(site::DRAM);
         let hits = (0..100_000).filter(|_| p.stall_elastic()).count();
         assert!((20_000..30_000).contains(&hits), "got {hits} hits at 25%");

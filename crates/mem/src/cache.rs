@@ -109,8 +109,14 @@ impl CacheConfig {
     }
 
     fn validate(&self) {
-        assert!(self.line_bytes.is_power_of_two(), "line size not a power of two");
-        assert!(self.num_banks.is_power_of_two(), "bank count not a power of two");
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "line size not a power of two"
+        );
+        assert!(
+            self.num_banks.is_power_of_two(),
+            "bank count not a power of two"
+        );
         assert!(self.ports >= 1, "need at least one port");
         assert!(self.num_ways >= 1, "need at least one way");
         assert!(self.sets_per_bank() >= 1, "cache too small for geometry");
@@ -674,27 +680,25 @@ impl Cache {
             let ports = self.config.ports;
             let bank = &mut self.banks[bank_idx];
 
-            let take = |bank: &mut Bank,
-                        stats: &mut CacheStats,
-                        spares: &mut Vec<Vec<SubReq>>|
-             -> bool {
-                // New claim: needs input FIFO space.
-                if bank.input.is_full() {
-                    stats.fifo_full_rejects += 1;
-                    return false;
-                }
-                let mut subs = spares.pop().unwrap_or_default();
-                subs.push(SubReq { tag: req.tag });
-                bank.input
-                    .push(BankReq {
-                        line,
-                        write: req.write,
-                        subs,
-                    })
-                    .expect("space just checked");
-                bank.claimed = Some(1);
-                true
-            };
+            let take =
+                |bank: &mut Bank, stats: &mut CacheStats, spares: &mut Vec<Vec<SubReq>>| -> bool {
+                    // New claim: needs input FIFO space.
+                    if bank.input.is_full() {
+                        stats.fifo_full_rejects += 1;
+                        return false;
+                    }
+                    let mut subs = spares.pop().unwrap_or_default();
+                    subs.push(SubReq { tag: req.tag });
+                    bank.input
+                        .push(BankReq {
+                            line,
+                            write: req.write,
+                            subs,
+                        })
+                        .expect("space just checked");
+                    bank.claimed = Some(1);
+                    true
+                };
 
             let ok = match bank.claimed {
                 None => take(bank, &mut self.stats, &mut self.spare_subs),
@@ -996,7 +1000,6 @@ impl Cache {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1096,7 +1099,9 @@ mod tests {
         // Thousands of primary misses (a 1 KiB cache swept over 256 KiB)
         // reuse a pool of per-line vectors no larger than the MSHRs.
         let mut c = small_cache(2);
-        let reqs = (0..4096u32).map(|i| MemReq::read(i as Tag, i * 64)).collect();
+        let reqs = (0..4096u32)
+            .map(|i| MemReq::read(i as Tag, i * 64))
+            .collect();
         let got = run_until_idle(&mut c, reqs, 100_000);
         assert_eq!(got.len(), 4096);
         assert!(c.stats.read_misses >= 4096);

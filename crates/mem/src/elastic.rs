@@ -242,7 +242,11 @@ mod tests {
     #[test]
     fn fault_gate_refuses_pushes_without_losing_data() {
         use vortex_faults::FaultConfig;
-        let cfg = FaultConfig { seed: 1, elastic_stall: 500, ..FaultConfig::off() };
+        let cfg = FaultConfig {
+            seed: 1,
+            elastic_stall: 500,
+            ..FaultConfig::off()
+        };
         let mut q = Queue::new(4);
         q.set_fault(cfg.plan(0));
         let mut accepted = 0;
@@ -257,7 +261,10 @@ mod tests {
             }
             q.pop();
         }
-        assert!(accepted > 0 && refused > 0, "50% gate must both pass and stall");
+        assert!(
+            accepted > 0 && refused > 0,
+            "50% gate must both pass and stall"
+        );
     }
 
     #[test]

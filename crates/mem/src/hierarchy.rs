@@ -363,7 +363,11 @@ fn push_to_dram(
         return Err(req);
     }
     // Writes never produce responses, so they take no routing entry.
-    let tag = if req.write { 0 } else { tags.wrap(port, req.tag) };
+    let tag = if req.write {
+        0
+    } else {
+        tags.wrap(port, req.tag)
+    };
     dram.push_req(MemReq { tag, ..req }).map_err(|_| {
         // The push can fail even after `can_accept` when a fault plan
         // stalls the handshake: reclaim the routing tag or it leaks and
@@ -427,7 +431,10 @@ impl MemHierarchy {
     /// # Panics
     /// Panics if `cores_per_cluster` is zero.
     pub fn new(config: HierarchyConfig) -> Self {
-        assert!(config.cores_per_cluster > 0, "cluster size must be non-zero");
+        assert!(
+            config.cores_per_cluster > 0,
+            "cluster size must be non-zero"
+        );
         let clusters = config.num_clusters();
         let l2 = match &config.l2 {
             Some(cfg) => (0..clusters)
@@ -800,7 +807,12 @@ mod tests {
                 queue_size: 8,
             },
         ));
-        let got = drive(&mut h, 0, vec![MemReq::read(5, 0x40), MemReq::read(6, 0x80)], 200);
+        let got = drive(
+            &mut h,
+            0,
+            vec![MemReq::read(5, 0x40), MemReq::read(6, 0x80)],
+            200,
+        );
         assert_eq!(got, vec![5, 6]);
     }
 
@@ -877,7 +889,8 @@ mod tests {
         cfg.l3 = Some(l3_default());
         let mut h = MemHierarchy::new(cfg);
         for core in 0..6 {
-            h.push_req(core, MemReq::read(200 + core as Tag, 0x1C0)).unwrap();
+            h.push_req(core, MemReq::read(200 + core as Tag, 0x1C0))
+                .unwrap();
         }
         let mut got = vec![Vec::new(); 6];
         for _ in 0..2000 {

@@ -60,7 +60,9 @@ impl Ram {
     /// Creates an empty (all-zero) memory. Allocates nothing: the first
     /// level lives inline and starts empty.
     pub fn new() -> Self {
-        Self { tables: [const { None }; NUM_PAGES / TABLE_PAGES] }
+        Self {
+            tables: [const { None }; NUM_PAGES / TABLE_PAGES],
+        }
     }
 
     #[inline]
@@ -84,10 +86,12 @@ impl Ram {
     /// The resident pages with their page numbers, in ascending order.
     fn pages(&self) -> impl Iterator<Item = (usize, &[u8; PAGE_SIZE])> {
         let tables = self.tables.iter().enumerate();
-        tables.filter_map(|(t, table)| Some((t, table.as_deref()?))).flat_map(|(t, table)| {
-            let pages = table.iter().enumerate();
-            pages.filter_map(move |(p, page)| Some((t * TABLE_PAGES + p, page.as_deref()?)))
-        })
+        tables
+            .filter_map(|(t, table)| Some((t, table.as_deref()?)))
+            .flat_map(|(t, table)| {
+                let pages = table.iter().enumerate();
+                pages.filter_map(move |(p, page)| Some((t * TABLE_PAGES + p, page.as_deref()?)))
+            })
     }
 
     /// Reads one byte (unmapped memory reads as zero).
@@ -307,14 +311,21 @@ mod tests {
         // fallback for u16/u32 at every offset near a page edge, a 4 MiB
         // table edge, and the top of the address space (which wraps to 0).
         let edges = [(PAGE_SIZE as u32) * 3, 0x0040_0000, 0];
-        for (edge, delta) in edges.into_iter().flat_map(|e| (0..8u32).map(move |d| (e, d))) {
+        for (edge, delta) in edges
+            .into_iter()
+            .flat_map(|e| (0..8u32).map(move |d| (e, d)))
+        {
             let addr = edge.wrapping_sub(4).wrapping_add(delta);
             let mut ram = Ram::new();
             ram.write_u32(addr, 0x1122_3344 ^ delta);
             assert_eq!(ram.read_u32(addr), 0x1122_3344 ^ delta, "u32 @ {addr:#x}");
             let mut ram = Ram::new();
             ram.write_u16(addr, (0xBEEF ^ delta) as u16);
-            assert_eq!(ram.read_u16(addr), (0xBEEF ^ delta) as u16, "u16 @ {addr:#x}");
+            assert_eq!(
+                ram.read_u16(addr),
+                (0xBEEF ^ delta) as u16,
+                "u16 @ {addr:#x}"
+            );
         }
         // A word at the very top spills its last bytes into page 0.
         let mut ram = Ram::new();

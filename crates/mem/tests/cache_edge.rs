@@ -111,8 +111,7 @@ fn mshr_saturation_backpressures_without_deadlock() {
         while let Some(r) = c.pop_mem_req() {
             in_mem.push((cycles + 30, r)); // 30-cycle memory
         }
-        let (ready, pending): (Vec<_>, Vec<_>) =
-            in_mem.drain(..).partition(|(t, _)| *t <= cycles);
+        let (ready, pending): (Vec<_>, Vec<_>) = in_mem.drain(..).partition(|(t, _)| *t <= cycles);
         in_mem = pending;
         for (_, r) in ready {
             if !r.write {
@@ -125,7 +124,10 @@ fn mshr_saturation_backpressures_without_deadlock() {
         cycles += 1;
         assert!(cycles < 50_000, "MSHR saturation deadlock: {got}/32");
     }
-    assert!(c.stats.early_full_stalls > 0, "early-full must have engaged");
+    assert!(
+        c.stats.early_full_stalls > 0,
+        "early-full must have engaged"
+    );
 }
 
 #[test]

@@ -55,7 +55,9 @@ fn drive(mut h: MemHierarchy, traces: Vec<Trace>) -> Result<(), String> {
         }
         let _ = cycle;
     }
-    Err(format!("hierarchy wedged: got {got:?}, expected {expected:?}"))
+    Err(format!(
+        "hierarchy wedged: got {got:?}, expected {expected:?}"
+    ))
 }
 
 fn trace_strategy() -> impl Strategy<Value = Trace> {
@@ -65,7 +67,11 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
 /// The three hierarchy shapes: flat, two clusters behind L2s, and L2s
 /// behind a shared L3.
 fn shapes(num_cores: usize) -> [HierarchyConfig; 3] {
-    let dram = |latency, channels, queue_size| DramConfig { latency, channels, queue_size };
+    let dram = |latency, channels, queue_size| DramConfig {
+        latency,
+        channels,
+        queue_size,
+    };
     let flat = HierarchyConfig::flat(num_cores, dram(20, 2, 8));
     let l2 = HierarchyConfig {
         cores_per_cluster: 2,
@@ -87,7 +93,11 @@ fn l1_with_burst(trace: &Trace) -> Cache {
     let mut reqs: Vec<MemReq> = trace
         .iter()
         .enumerate()
-        .map(|(i, &(line, write))| MemReq { tag: i as u64, addr: line * 64, write })
+        .map(|(i, &(line, write))| MemReq {
+            tag: i as u64,
+            addr: line * 64,
+            write,
+        })
         .collect();
     for _ in 0..64 {
         cache.begin_cycle();
@@ -121,7 +131,10 @@ fn batched_equals_per_request(
             let bits = if core % 2 == 0 { TAG_BITS } else { 0 };
             batched.accept_from(core, a, bits);
             while let Some(&req) = b.peek_mem_req() {
-                let req = MemReq { tag: req.tag | bits, ..req };
+                let req = MemReq {
+                    tag: req.tag | bits,
+                    ..req
+                };
                 if single.push_req(core, req).is_err() {
                     break;
                 }

@@ -428,7 +428,11 @@ fn crc32_table() -> &'static [u32; 256] {
         for (i, slot) in table.iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
             }
             *slot = c;
         }
@@ -609,10 +613,7 @@ mod tests {
         for cut in 0..sealed.len() {
             let err = open(&sealed[..cut], 0x1234).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    SnapError::Truncated { .. } | SnapError::BadMagic
-                ),
+                matches!(err, SnapError::Truncated { .. } | SnapError::BadMagic),
                 "cut at {cut}: {err:?}"
             );
         }

@@ -32,12 +32,7 @@ pub fn bilinear_footprint(state: &TexState, u: f32, v: f32, lod: u32) -> Bilinea
     let frac_u = ((x - x0) * 256.0) as i32;
     let frac_v = ((y - y0) * 256.0) as i32;
     let (x0, y0) = (x0 as i32, y0 as i32);
-    let wrap = |x: i32, y: i32| {
-        (
-            state.wrap_u.apply(x, w),
-            state.wrap_v.apply(y, h),
-        )
-    };
+    let wrap = |x: i32, y: i32| (state.wrap_u.apply(x, w), state.wrap_v.apply(y, h));
     BilinearFootprint {
         coords: [
             wrap(x0, y0),
@@ -121,10 +116,7 @@ mod tests {
             ram.write_u32(state.addr + (i as u32) * 4, t.to_u32());
         }
         // 1×1 mip level: gray.
-        ram.write_u32(
-            state.addr + 16,
-            Rgba8::new(128, 128, 128, 255).to_u32(),
-        );
+        ram.write_u32(state.addr + 16, Rgba8::new(128, 128, 128, 255).to_u32());
         state
     }
 
@@ -132,9 +124,18 @@ mod tests {
     fn point_sampling_picks_nearest() {
         let mut ram = Ram::new();
         let s = checker(&mut ram);
-        assert_eq!(sample_point(&ram, &s, 0.25, 0.25, 0), Rgba8::new(255, 0, 0, 255));
-        assert_eq!(sample_point(&ram, &s, 0.75, 0.25, 0), Rgba8::new(0, 255, 0, 255));
-        assert_eq!(sample_point(&ram, &s, 0.25, 0.75, 0), Rgba8::new(0, 0, 255, 255));
+        assert_eq!(
+            sample_point(&ram, &s, 0.25, 0.25, 0),
+            Rgba8::new(255, 0, 0, 255)
+        );
+        assert_eq!(
+            sample_point(&ram, &s, 0.75, 0.25, 0),
+            Rgba8::new(0, 255, 0, 255)
+        );
+        assert_eq!(
+            sample_point(&ram, &s, 0.25, 0.75, 0),
+            Rgba8::new(0, 0, 255, 255)
+        );
     }
 
     #[test]

@@ -213,7 +213,10 @@ impl TexState {
 
     /// Total bytes of the full mip chain (for allocation).
     pub fn total_bytes(&self) -> u32 {
-        self.mip_offset(self.max_lod()) + self.width(self.max_lod()) * self.height(self.max_lod()) * self.format.bytes_per_texel()
+        self.mip_offset(self.max_lod())
+            + self.width(self.max_lod())
+                * self.height(self.max_lod())
+                * self.format.bytes_per_texel()
     }
 }
 
@@ -231,10 +234,19 @@ mod tests {
     #[test]
     fn rgb565_expands_with_replication() {
         // Pure red 0xF800 → (255, 0, 0, 255).
-        assert_eq!(TexFormat::Rgb565.convert(0xF800), Rgba8::new(255, 0, 0, 255));
+        assert_eq!(
+            TexFormat::Rgb565.convert(0xF800),
+            Rgba8::new(255, 0, 0, 255)
+        );
         // Pure green 0x07E0.
-        assert_eq!(TexFormat::Rgb565.convert(0x07E0), Rgba8::new(0, 255, 0, 255));
-        assert_eq!(TexFormat::Rgb565.convert(0x001F), Rgba8::new(0, 0, 255, 255));
+        assert_eq!(
+            TexFormat::Rgb565.convert(0x07E0),
+            Rgba8::new(0, 255, 0, 255)
+        );
+        assert_eq!(
+            TexFormat::Rgb565.convert(0x001F),
+            Rgba8::new(0, 0, 255, 255)
+        );
     }
 
     #[test]
@@ -247,7 +259,10 @@ mod tests {
 
     #[test]
     fn luminance_and_alpha() {
-        assert_eq!(TexFormat::L8.convert(0x80), Rgba8::new(0x80, 0x80, 0x80, 255));
+        assert_eq!(
+            TexFormat::L8.convert(0x80),
+            Rgba8::new(0x80, 0x80, 0x80, 255)
+        );
         assert_eq!(TexFormat::A8.convert(0x80), Rgba8::new(0, 0, 0, 0x80));
     }
 

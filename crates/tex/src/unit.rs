@@ -238,10 +238,7 @@ impl TexUnit {
         if self.input.is_full() {
             return Err(req);
         }
-        let state = states
-            .get(req.stage)
-            .copied()
-            .unwrap_or_default();
+        let state = states.get(req.stage).copied().unwrap_or_default();
         let mut colors = Vec::with_capacity(req.lanes.len());
         let mut unique: Vec<u32> = Vec::new();
         for lane in &req.lanes {
@@ -329,7 +326,9 @@ impl TexUnit {
                 self.stats.mem_busy_cycles += 1;
                 // Issue up to issue_width unique addresses this cycle.
                 for _ in 0..self.config.issue_width {
-                    let Some(addr) = batch.to_issue.pop() else { break };
+                    let Some(addr) = batch.to_issue.pop() else {
+                        break;
+                    };
                     let tag = self.next_mem_tag;
                     self.next_mem_tag = self.next_mem_tag.wrapping_add(1);
                     self.mem_out.push_back(MemReq::read(tag, addr));
