@@ -86,29 +86,12 @@ impl BarrierTable {
     }
 }
 
-impl BarrierTable {
-    /// Appends every barrier slot's counter and waiter list (the table
-    /// length is construction state, so no length is written).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        for e in &self.entries {
-            w.u32(e.left);
-            e.waiting.save(w);
-        }
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for BarrierEntry { left, waiting }
+}
 
-    /// Restores every barrier slot in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        for e in &mut self.entries {
-            e.left = r.u32()?;
-            e.waiting = Vec::load(r)?;
-        }
-        Ok(())
-    }
+vortex_snapshot::snapshot! {
+    impl pub state for BarrierTable { entries: each }
 }
 
 #[cfg(test)]

@@ -1242,186 +1242,51 @@ impl Core {
     pub fn regs(&self) -> &RegFile {
         &self.regs
     }
-
-    /// Appends the core's complete simulation state: architectural state
-    /// (wavefronts, registers, scoreboards, CSRs, barriers), every pipeline
-    /// and memory-side structure in flight, fault-plan positions (inside
-    /// the component states) and the performance counters.
-    ///
-    /// Structural geometry (wavefront count, cache shapes, LSU depth) is
-    /// construction state derived from the configuration and is *not*
-    /// serialized — restore validates occupancies against it instead of
-    /// trusting the payload. Host-side scratch (exec pool, fetch-request
-    /// buffer, trace) is behavior-invisible and skipped.
-    /// Decoded ibuffer instructions are stored as their 32-bit encodings
-    /// and re-decoded on restore.
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        // Parks are host-side scheduling, flushed by the run loop before
-        // it returns; a snapshot must never observe one mid-span.
-        debug_assert!(self.park.is_none(), "save_state with an active park");
-        for wf in &self.wavefronts {
-            wf.save_state(w);
-        }
-        self.scheduler.save_state(w);
-        self.regs.save_state(w);
-        self.scoreboard.save_state(w);
-        self.csrf.save_state(w);
-        self.barriers.save_state(w);
-        self.icache.save_state(w);
-        self.dcache.save_state(w);
-        self.smem.save_state(w);
-        self.tex_unit.save_state(w);
-        self.lsu.save_state(w);
-        self.front.save_state(w);
-        self.fast_fetch.save(w);
-        w.usize(self.issue_rr);
-        self.completions.save(w);
-        w.u64(self.div_busy_until);
-        w.u64(self.fdiv_busy_until);
-        w.u64(self.fsqrt_busy_until);
-        self.fence_waiters.save(w);
-        self.global_barrier_out.save(w);
-        // HashMap iteration order is nondeterministic; sort by tag so the
-        // snapshot bytes are a pure function of the simulated state.
-        let mut tex_dest: Vec<(Tag, usize, u8)> = self
-            .tex_dest
-            .iter()
-            .map(|(&tag, &(wid, reg))| (tag, wid, reg.0))
-            .collect();
-        tex_dest.sort_unstable_by_key(|&(tag, _, _)| tag);
-        w.usize(tex_dest.len());
-        for (tag, wid, reg) in tex_dest {
-            w.u64(tag);
-            w.usize(wid);
-            w.u8(reg);
-        }
-        w.u64(self.next_tex_tag);
-        self.tex_mem_pending.save(w);
-        // Reserved by the version-1 layout: a pending-store count, which
-        // must be zero.
-        w.usize(0);
-        w.u64(self.cycle);
-        w.bool(self.drained);
-        w.bool(self.has_faults);
-        self.stats.save(w);
-        // Enablement is configuration, not payload: a profiled core's
-        // snapshot only restores into a profiled core (the config
-        // fingerprint refuses the cross-enablement cases).
-        if let Some(p) = &self.profile {
-            p.save_state(w);
-        }
-    }
-
-    /// Restores the core in place from a payload written by
-    /// [`Core::save_state`] on an identically-configured core.
-    ///
-    /// # Errors
-    /// Structured [`vortex_snapshot::SnapError`]s (never a panic) when the
-    /// payload is malformed or violates a structural invariant — e.g. a
-    /// wavefront index out of range or an undecodable ibuffer word. On
-    /// error the core may be partially restored and must be discarded.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::{Snap, SnapError};
-        let nw = self.config.num_wavefronts;
-        for wf in &mut self.wavefronts {
-            wf.restore_state(r)?;
-        }
-        self.scheduler.restore_state(r)?;
-        self.regs.restore_state(r)?;
-        self.scoreboard.restore_state(r)?;
-        self.csrf.restore_state(r)?;
-        self.barriers.restore_state(r)?;
-        self.icache.restore_state(r)?;
-        self.dcache.restore_state(r)?;
-        self.smem.restore_state(r)?;
-        self.tex_unit.restore_state(r)?;
-        self.lsu.restore_state(r)?;
-        self.front.restore_state(r)?;
-        self.fast_fetch = Snap::load(r)?;
-        if self.fast_fetch.iter().any(|&(_, wid, _)| wid >= nw) {
-            return Err(SnapError::BadValue("fast-fetch wavefront"));
-        }
-        self.issue_rr = r.usize()?;
-        if self.issue_rr >= nw {
-            return Err(SnapError::BadValue("issue pointer"));
-        }
-        self.completions = Snap::load(r)?;
-        if self.completions.iter().any(|c| c.wid >= nw) {
-            return Err(SnapError::BadValue("completion wavefront"));
-        }
-        self.div_busy_until = r.u64()?;
-        self.fdiv_busy_until = r.u64()?;
-        self.fsqrt_busy_until = r.u64()?;
-        self.fence_waiters = Snap::load(r)?;
-        if self.fence_waiters.iter().any(|&wid| wid >= nw) {
-            return Err(SnapError::BadValue("fence waiter"));
-        }
-        self.global_barrier_out = Snap::load(r)?;
-        if self.global_barrier_out.iter().any(|a| a.wid >= nw) {
-            return Err(SnapError::BadValue("global-barrier wavefront"));
-        }
-        let n = r.len(8 + 8 + 1)?;
-        self.tex_dest.clear();
-        for _ in 0..n {
-            let tag = r.u64()?;
-            let wid = r.usize()?;
-            let reg = r.u8()?;
-            if wid >= nw || reg >= 64 {
-                return Err(SnapError::BadValue("texture destination"));
-            }
-            self.tex_dest.insert(tag, (wid, RegId(reg)));
-        }
-        self.next_tex_tag = r.u64()?;
-        self.tex_mem_pending = Snap::load(r)?;
-        if r.usize()? != 0 {
-            return Err(SnapError::BadValue("reserved pending-store count"));
-        }
-        self.cycle = r.u64()?;
-        self.drained = r.bool()?;
-        self.has_faults = r.bool()?;
-        self.stats = Snap::load(r)?;
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.restore_state(r)?;
-        }
-        // Host-side scratch: rebuilt lazily, never part of simulated state.
-        self.fetch_req.clear();
-        self.park = None;
-        self.park_mark = u64::MAX;
-        self.park_backoff = 0;
-        Ok(())
-    }
 }
 
-impl vortex_snapshot::Snap for Completion {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.ready);
-        w.usize(self.wid);
-        self.wb.save(w);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            ready: r.u64()?,
-            wid: r.usize()?,
-            wb: vortex_snapshot::Snap::load(r)?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for Completion { ready, wid, wb }
 }
 
-impl vortex_snapshot::Snap for GlobalBarrierArrival {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u32(self.id);
-        w.usize(self.wid);
-        w.u32(self.count);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            id: r.u32()?,
-            wid: r.usize()?,
-            count: r.u32()?,
-        })
+vortex_snapshot::snapshot! {
+    impl Snap for GlobalBarrierArrival { id, wid, count }
+}
+
+// The core's complete simulation state: architectural state, every pipeline
+// and memory-side structure in flight (fault-plan positions ride inside the
+// components) and the counters. Structural geometry comes from the
+// configuration and is not saved: occupancies are checked against it. The
+// fetch-request buffer, the execute pool and the trace are host-side and
+// invisible to the simulation. Parks are flushed by the run loop before it
+// returns, so a saved core never holds deferred ticks.
+vortex_snapshot::snapshot! {
+    impl pub state for Core {
+        config id, config config, config num_cores,
+        wavefronts: each state,
+        scheduler: state, regs: state, scoreboard: state, csrf: state, barriers: state,
+        icache: state, dcache: state, smem: state, tex_unit: state, lsu: state, front: state,
+        config all_wavefronts,
+        fast_fetch if fast_fetch.iter().all(|&(_, wid, _)| wid < config.num_wavefronts)
+            => "fast-fetch wavefront",
+        scratch fetch_req, scratch exec_pool,
+        issue_rr if *issue_rr < config.num_wavefronts => "issue pointer",
+        completions if completions.iter().all(|c| c.wid < config.num_wavefronts)
+            => "completion wavefront",
+        div_busy_until, fdiv_busy_until, fsqrt_busy_until,
+        fence_waiters if fence_waiters.iter().all(|&wid| wid < config.num_wavefronts)
+            => "fence waiter",
+        global_barrier_out if global_barrier_out.iter().all(|a| a.wid < config.num_wavefronts)
+            => "global-barrier wavefront",
+        tex_dest for (_, (wid, reg)) if *wid < config.num_wavefronts && reg.0 < 64
+            => "texture destination",
+        next_tex_tag, tex_mem_pending,
+        // The retired pending-store count.
+        reserved usize = 0 => "reserved pending-store count",
+        cycle, drained,
+        scratch park = None, scratch park_mark = u64::MAX, scratch park_backoff = 0,
+        has_faults, stats,
+        // Present iff profiling is configured: the config fingerprint
+        // refuses the cross-enablement cases.
+        profile: each state, scratch trace,
     }
 }

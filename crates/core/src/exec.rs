@@ -212,48 +212,6 @@ impl CsrFile {
     pub fn tex_states(&self) -> [TexState; csr::TEX_STAGES] {
         std::array::from_fn(|s| self.tex_state(s))
     }
-
-    /// Appends the CSR values in place (the array geometry is an ISA
-    /// constant, so no lengths are written).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        w.u32(self.fcsr);
-        for stage in &self.tex_raw {
-            for &v in stage.iter() {
-                w.u32(v);
-            }
-        }
-    }
-
-    /// Restores the CSR values in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        self.fcsr = r.u32()?;
-        for stage in &mut self.tex_raw {
-            for v in stage.iter_mut() {
-                *v = r.u32()?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl vortex_snapshot::Snap for Writeback {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u8(self.reg.0);
-        vortex_snapshot::Snap::save(&self.values, w);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        let reg = r.u8()?;
-        if reg >= 64 {
-            return Err(vortex_snapshot::SnapError::BadValue("register id"));
-        }
-        Ok(Self {
-            reg: RegId(reg),
-            values: vortex_snapshot::Snap::load(r)?,
-        })
-    }
 }
 
 /// Identification and counters exposed to CSR reads.
@@ -993,6 +951,17 @@ fn csr_write(csrf: &mut CsrFile, addr: u16, value: u32) {
         csr::FRM => csrf.fcsr = (csrf.fcsr & !0xE0) | ((value & 0x7) << 5),
         csr::FCSR => csrf.fcsr = value & 0xFF,
         _ => {}
+    }
+}
+
+vortex_snapshot::snapshot! {
+    impl pub state for CsrFile { fcsr, tex_raw }
+}
+
+vortex_snapshot::snapshot! {
+    impl Snap for Writeback {
+        reg if reg.0 < 64 => "register id",
+        values,
     }
 }
 

@@ -543,18 +543,7 @@ impl Gpu {
     /// run.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = vortex_snapshot::Writer::new();
-        w.u64(self.cycle);
-        w.u64(self.last_progress_token);
-        w.u64(self.last_progress_cycle);
-        for core in &self.cores {
-            core.save_state(&mut w);
-        }
-        self.hierarchy.save_state(&mut w);
-        self.global_barriers.save_state(&mut w);
-        if let Some(tel) = &self.telemetry {
-            tel.save_state(&mut w);
-        }
-        self.ram.save_state(&mut w);
+        self.save_state(&mut w);
         vortex_snapshot::seal(self.config_fingerprint(), &w.into_bytes())
     }
 
@@ -568,26 +557,20 @@ impl Gpu {
     /// invariant. On error the GPU may be partially overwritten and must
     /// be discarded (rebuild from the configuration before retrying).
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SimError> {
-        self.restore_snapshot_inner(bytes)
+        vortex_snapshot::unseal(bytes, self.config_fingerprint(), |r| self.restore_state(r))
             .map_err(|e| SimError::SnapshotCorrupt(e.to_string()))
     }
+}
 
-    fn restore_snapshot_inner(&mut self, bytes: &[u8]) -> vortex_snapshot::SnapResult<()> {
-        let payload = vortex_snapshot::open(bytes, self.config_fingerprint())?;
-        let mut r = vortex_snapshot::Reader::new(payload);
-        self.cycle = r.u64()?;
-        self.last_progress_token = r.u64()?;
-        self.last_progress_cycle = r.u64()?;
-        for core in &mut self.cores {
-            core.restore_state(&mut r)?;
-        }
-        self.hierarchy.restore_state(&mut r)?;
-        self.global_barriers.restore_state(&mut r)?;
-        if let Some(tel) = &mut self.telemetry {
-            tel.restore_state(&mut r)?;
-        }
-        self.ram.restore_state(&mut r)?;
-        r.finish()
+// The whole machine, in the order `Gpu::save_snapshot` writes it. The
+// telemetry sampler is present iff sampling is configured.
+vortex_snapshot::snapshot! {
+    impl state for Gpu {
+        config config, cycle, last_progress_token, last_progress_cycle, cores: each state,
+        hierarchy: state, global_barriers: state, telemetry: each state, ram: state,
+        // Host-side: the shared decode memo and the skip accounting are
+        // carried across checkpoint-drill rebuilds by hand.
+        scratch decode_memo, scratch release_scratch, scratch cycles_skipped, scratch skip_events,
     }
 }
 

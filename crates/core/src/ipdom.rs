@@ -151,42 +151,14 @@ impl IpdomStack {
     }
 }
 
-impl vortex_snapshot::Snap for IpdomEntry {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u32(self.tmask);
-        w.u32(self.pc);
-        w.bool(self.fallthrough);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            tmask: r.u32()?,
-            pc: r.u32()?,
-            fallthrough: r.bool()?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for IpdomEntry { tmask, pc, fallthrough }
 }
 
-impl IpdomStack {
-    /// Appends the stack's entries. Capacity is construction state and is
-    /// not serialized.
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        self.entries.save(w);
-    }
-
-    /// Restores the stack in place, rejecting depths this stack could
-    /// never have reached.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        let entries = Vec::<IpdomEntry>::load(r)?;
-        if entries.len() > self.capacity * 2 {
-            return Err(vortex_snapshot::SnapError::BadValue("ipdom depth"));
-        }
-        self.entries = entries;
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl pub state for IpdomStack {
+        entries if entries.len() <= *capacity * 2 => "ipdom depth",
+        config capacity,
     }
 }
 

@@ -232,59 +232,19 @@ impl Lsu {
     }
 }
 
-impl vortex_snapshot::Snap for LoadEntry {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.usize(self.wid);
-        self.wb.save(w);
-        w.u32(self.lanes_left);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            wid: r.usize()?,
-            wb: vortex_snapshot::Snap::load(r)?,
-            lanes_left: r.u32()?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for LoadEntry { wid, wb, lanes_left }
 }
 
-impl Lsu {
-    /// Appends the LSU's in-flight state. The entry count is construction
-    /// state (written in place, no length); the group-buffer reuse pool is
-    /// behavior-invisible scratch and is not saved.
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        for entry in &self.entries {
-            entry.save(w);
-        }
-        self.dcache_groups.save(w);
-        self.smem_groups.save(w);
-        self.ready.save(w);
-        w.usize(self.outstanding_stores);
-    }
-
-    /// Restores the LSU in place, rejecting queue occupancies the issue
-    /// checks could never have allowed.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        for entry in &mut self.entries {
-            *entry = Option::<LoadEntry>::load(r)?;
-        }
-        let dcache_groups = std::collections::VecDeque::<Vec<MemReq>>::load(r)?;
-        let smem_groups = std::collections::VecDeque::<Vec<MemReq>>::load(r)?;
-        if dcache_groups.len() > Self::GROUP_QUEUE_DEPTH
-            || smem_groups.len() > Self::GROUP_QUEUE_DEPTH
-        {
-            return Err(vortex_snapshot::SnapError::BadValue("lsu group queue"));
-        }
-        self.dcache_groups = dcache_groups;
-        self.smem_groups = smem_groups;
-        self.ready = vortex_snapshot::Snap::load(r)?;
-        self.outstanding_stores = r.usize()?;
-        self.spare_groups.clear();
-        Ok(())
+// The entry count is construction state: entries are walked in place.
+vortex_snapshot::snapshot! {
+    impl pub state for Lsu {
+        entries: each, dcache_groups, smem_groups,
+        check dcache_groups.len() <= Self::GROUP_QUEUE_DEPTH
+            && smem_groups.len() <= Self::GROUP_QUEUE_DEPTH
+            => "lsu group queue",
+        ready, outstanding_stores,
+        scratch spare_groups = Vec::new(),
     }
 }
 

@@ -43,7 +43,6 @@
 use crate::config::SMEM_BASE;
 use crate::exec::LaneAccess;
 use std::collections::BTreeMap;
-use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
 /// Counters for one instruction address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,40 +126,6 @@ impl PcStats {
         for (a, b) in self.lane_hist.iter_mut().zip(&other.lane_hist) {
             *a += *b;
         }
-    }
-}
-
-impl Snap for PcStats {
-    fn save(&self, w: &mut Writer) {
-        w.u32(self.word);
-        w.u64(self.issues);
-        w.u64(self.thread_instrs);
-        w.u64(self.divergences);
-        w.u64(self.stall_scoreboard);
-        w.u64(self.stall_fu_busy);
-        w.u64(self.loads);
-        w.u64(self.stores);
-        w.u64(self.dcache_probe_hits);
-        w.u64(self.dcache_probe_misses);
-        w.u64(self.smem_accesses);
-        self.lane_hist.save(w);
-    }
-
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            word: r.u32()?,
-            issues: r.u64()?,
-            thread_instrs: r.u64()?,
-            divergences: r.u64()?,
-            stall_scoreboard: r.u64()?,
-            stall_fu_busy: r.u64()?,
-            loads: r.u64()?,
-            stores: r.u64()?,
-            dcache_probe_hits: r.u64()?,
-            dcache_probe_misses: r.u64()?,
-            smem_accesses: r.u64()?,
-            lane_hist: Snap::load(r)?,
-        })
     }
 }
 
@@ -267,33 +232,19 @@ impl CoreProfile {
             }
         }
     }
+}
 
-    /// Snapshot append (shape-free: `num_threads` is construction state).
-    pub fn save_state(&self, w: &mut Writer) {
-        w.usize(self.sites.len());
-        for (&pc, s) in &self.sites {
-            w.u32(pc);
-            s.save(w);
-        }
+vortex_snapshot::snapshot! {
+    impl Snap for PcStats {
+        word, issues, thread_instrs, divergences, stall_scoreboard, stall_fu_busy, loads, stores,
+        dcache_probe_hits, dcache_probe_misses, smem_accesses, lane_hist,
     }
+}
 
-    /// Restore from [`CoreProfile::save_state`] bytes.
-    ///
-    /// # Errors
-    /// [`SnapError`] on truncated payloads or histograms whose length does
-    /// not match this core's lane count.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        let n = r.len(4 + 11 * 8)?;
-        self.sites.clear();
-        for _ in 0..n {
-            let pc = r.u32()?;
-            let s = PcStats::load(r)?;
-            if s.lane_hist.len() != self.num_threads + 1 {
-                return Err(SnapError::BadValue("profile lane histogram"));
-            }
-            self.sites.insert(pc, s);
-        }
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl pub state for CoreProfile {
+        config num_threads,
+        sites for (_, s) if s.lane_hist.len() == *num_threads + 1 => "profile lane histogram",
     }
 }
 
@@ -347,6 +298,7 @@ impl GpuProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_snapshot::{Reader, Writer};
 
     fn word() -> u32 {
         0x0000_0013 // addi x0, x0, 0

@@ -60,33 +60,8 @@ impl RegFile {
     }
 }
 
-impl RegFile {
-    /// Appends every register value in `[wavefront][thread][reg]` order.
-    /// The bank geometry is construction state, so no lengths are written.
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        for bank in &self.banks {
-            for regs in bank {
-                for &v in regs.iter() {
-                    w.u32(v);
-                }
-            }
-        }
-    }
-
-    /// Restores every register value in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        for bank in &mut self.banks {
-            for regs in bank {
-                for v in regs.iter_mut() {
-                    *v = r.u32()?;
-                }
-            }
-        }
-        Ok(())
-    }
+vortex_snapshot::snapshot! {
+    impl pub state for RegFile { banks: each each }
 }
 
 #[cfg(test)]

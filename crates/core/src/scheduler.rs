@@ -124,32 +124,11 @@ impl WavefrontScheduler {
     }
 }
 
-impl WavefrontScheduler {
-    /// Appends the scheduler's mutable state (wavefront count and policy
-    /// are construction state and are not serialized).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.visible);
-        w.usize(self.rr_next);
-        w.u64(self.picks);
-        w.u64(self.starved_cycles);
-    }
-
-    /// Restores the scheduler in place, rejecting a round-robin pointer
-    /// outside the wavefront range.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        let visible = r.u64()?;
-        let rr_next = r.usize()?;
-        if rr_next >= self.num_wavefronts {
-            return Err(vortex_snapshot::SnapError::BadValue("scheduler rr pointer"));
-        }
-        self.visible = visible;
-        self.rr_next = rr_next;
-        self.picks = r.u64()?;
-        self.starved_cycles = r.u64()?;
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl pub state for WavefrontScheduler {
+        config num_wavefronts, config policy, visible,
+        rr_next if *rr_next < *num_wavefronts => "scheduler rr pointer",
+        picks, starved_cycles,
     }
 }
 

@@ -74,25 +74,18 @@ impl Scoreboard {
     }
 }
 
-impl Scoreboard {
-    /// Appends every wavefront's pending mask (the wavefront count is
-    /// construction state, so no length is written).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        for &mask in &self.pending {
-            w.u64(mask);
-        }
+/// A register id is its byte; its range is checked where it is loaded.
+impl vortex_snapshot::Snap for RegId {
+    fn save(&self, w: &mut vortex_snapshot::Writer) {
+        w.u8(self.0);
     }
+    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
+        r.u8().map(Self)
+    }
+}
 
-    /// Restores every pending mask in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        for mask in &mut self.pending {
-            *mask = r.u64()?;
-        }
-        Ok(())
-    }
+vortex_snapshot::snapshot! {
+    impl pub state for Scoreboard { pending: each }
 }
 
 #[cfg(test)]

@@ -208,55 +208,14 @@ impl GpuStats {
     }
 }
 
-impl vortex_snapshot::Snap for StallStats {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.ibuffer_empty);
-        w.u64(self.scoreboard);
-        w.u64(self.fu_busy);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            ibuffer_empty: r.u64()?,
-            scoreboard: r.u64()?,
-            fu_busy: r.u64()?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for StallStats { ibuffer_empty, scoreboard, fu_busy }
 }
 
-impl vortex_snapshot::Snap for CoreStats {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.cycles);
-        w.u64(self.instrs);
-        w.u64(self.thread_instrs);
-        w.u64(self.loads);
-        w.u64(self.stores);
-        w.u64(self.tex_ops);
-        w.u64(self.barriers);
-        w.u64(self.divergences);
-        self.stalls.save(w);
-        self.icache.save(w);
-        self.dcache.save(w);
-        self.tex.save(w);
-        w.u64(self.smem_accesses);
-        w.u64(self.smem_conflicts);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            cycles: r.u64()?,
-            instrs: r.u64()?,
-            thread_instrs: r.u64()?,
-            loads: r.u64()?,
-            stores: r.u64()?,
-            tex_ops: r.u64()?,
-            barriers: r.u64()?,
-            divergences: r.u64()?,
-            stalls: vortex_snapshot::Snap::load(r)?,
-            icache: vortex_snapshot::Snap::load(r)?,
-            dcache: vortex_snapshot::Snap::load(r)?,
-            tex: vortex_snapshot::Snap::load(r)?,
-            smem_accesses: r.u64()?,
-            smem_conflicts: r.u64()?,
-        })
+vortex_snapshot::snapshot! {
+    impl Snap for CoreStats {
+        cycles, instrs, thread_instrs, loads, stores, tex_ops, barriers, divergences, stalls,
+        icache, dcache, tex, smem_accesses, smem_conflicts,
     }
 }
 

@@ -194,101 +194,31 @@ impl Telemetry {
     }
 }
 
-impl vortex_snapshot::Snap for CoreWindow {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.instrs);
-        w.u64(self.thread_instrs);
-        self.stalls.save(w);
-        w.usize(self.ibuffer_occupancy);
-        w.usize(self.mshr_pending);
-        w.u64(self.icache_reads);
-        w.u64(self.icache_hits);
-        w.u64(self.dcache_reads);
-        w.u64(self.dcache_hits);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            instrs: r.u64()?,
-            thread_instrs: r.u64()?,
-            stalls: vortex_snapshot::Snap::load(r)?,
-            ibuffer_occupancy: r.usize()?,
-            mshr_pending: r.usize()?,
-            icache_reads: r.u64()?,
-            icache_hits: r.u64()?,
-            dcache_reads: r.u64()?,
-            dcache_hits: r.u64()?,
-        })
+vortex_snapshot::snapshot! {
+    impl Snap for CoreWindow {
+        instrs, thread_instrs, stalls, ibuffer_occupancy, mshr_pending, icache_reads, icache_hits,
+        dcache_reads, dcache_hits,
     }
 }
 
-impl vortex_snapshot::Snap for TelemetrySample {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.cycle);
-        self.cores.save(w);
-        w.u64(self.dram_reads);
-        w.u64(self.dram_writes);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            cycle: r.u64()?,
-            cores: vortex_snapshot::Snap::load(r)?,
-            dram_reads: r.u64()?,
-            dram_writes: r.u64()?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for TelemetrySample { cycle, cores, dram_reads, dram_writes }
 }
 
-impl vortex_snapshot::Snap for TimeSeries {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.interval);
-        self.samples.save(w);
-        w.bool(self.truncated);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            interval: r.u64()?,
-            samples: vortex_snapshot::Snap::load(r)?,
-            truncated: r.bool()?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for TimeSeries { interval, samples, truncated }
 }
 
-impl Telemetry {
-    /// Appends the sampler's state: the collected series plus the
-    /// previous-window cumulative baselines the next deltas are computed
-    /// against (so a resumed run produces the same remaining samples).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        self.series.save(w);
-        w.u64(self.next_at);
-        self.prev_cores.save(w);
-        w.u64(self.prev_dram_reads);
-        w.u64(self.prev_dram_writes);
-    }
-
-    /// Restores the sampler in place. The core count is structural (it
-    /// comes from this sampler's configuration), so a baseline vector of a
-    /// different length is rejected.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        let series = TimeSeries::load(r)?;
-        if series.interval != self.series.interval {
-            return Err(vortex_snapshot::SnapError::BadValue("telemetry interval"));
-        }
-        let next_at = r.u64()?;
-        let prev_cores = Vec::<CoreStats>::load(r)?;
-        if prev_cores.len() != self.prev_cores.len() {
-            return Err(vortex_snapshot::SnapError::BadValue("telemetry core count"));
-        }
-        self.series = series;
-        self.next_at = next_at;
-        self.prev_cores = prev_cores;
-        self.prev_dram_reads = r.u64()?;
-        self.prev_dram_writes = r.u64()?;
-        Ok(())
+// The series plus the previous-window baselines the next deltas are computed
+// against, so a resumed run produces the same remaining samples. The
+// interval and the core count are this sampler's configuration: a payload
+// that disagrees is refused.
+vortex_snapshot::snapshot! {
+    impl pub state for Telemetry {
+        series as new if new.interval == series.interval => "telemetry interval",
+        next_at,
+        prev_cores as new if new.len() == prev_cores.len() => "telemetry core count",
+        prev_dram_reads, prev_dram_writes,
     }
 }
 

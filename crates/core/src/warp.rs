@@ -99,30 +99,9 @@ impl vortex_snapshot::Snap for StallReason {
     }
 }
 
-impl Wavefront {
-    /// Appends the wavefront's architectural state (`wid` is construction
-    /// state and is not serialized).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        w.u32(self.pc);
-        w.u32(self.tmask);
-        w.bool(self.active);
-        self.ipdom.save_state(w);
-        self.stall.save(w);
-    }
-
-    /// Restores the wavefront in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        self.pc = r.u32()?;
-        self.tmask = r.u32()?;
-        self.active = r.bool()?;
-        self.ipdom.restore_state(r)?;
-        self.stall = StallReason::load(r)?;
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl pub state for Wavefront {
+        config wid, pc, tmask, active, ipdom: state, stall,
     }
 }
 

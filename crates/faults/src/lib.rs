@@ -17,8 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
-
 /// Probabilities are expressed in 1/1000 units (per-mille) so light fault
 /// rates like 0.5% are representable.
 pub const SCALE: u16 = 1000;
@@ -196,64 +194,29 @@ impl FaultPlan {
     }
 }
 
-/// Retired rates that keep their place in the encoding: `dram_drop`,
-/// `cache_rsp_stall`, `corrupt` and `tex_stall`, each a `u16` that must be
-/// zero.
-const RESERVED_RATES: usize = 4;
-
-impl Snap for FaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u16(self.elastic_stall);
-        w.u16(self.dram_stall);
-        w.u16(self.dram_delay);
-        w.u32(self.dram_extra_latency);
-        for _ in 0..RESERVED_RATES {
-            w.u16(0);
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        let cfg = Self {
-            seed: r.u64()?,
-            elastic_stall: r.u16()?,
-            dram_stall: r.u16()?,
-            dram_delay: r.u16()?,
-            dram_extra_latency: r.u32()?,
-        };
-        for _ in 0..RESERVED_RATES {
-            if r.u16()? != 0 {
-                return Err(SnapError::BadValue("reserved fault rate"));
-            }
-        }
-        Ok(cfg)
+// The four retired rates (`dram_drop`, `cache_rsp_stall`, `corrupt` and
+// `tex_stall`) keep their place in the encoding.
+vortex_snapshot::snapshot! {
+    impl Snap for FaultConfig {
+        seed, elastic_stall, dram_stall, dram_delay, dram_extra_latency,
+        reserved u16 = 0 => "reserved fault rate",
+        reserved u16 = 0 => "reserved fault rate",
+        reserved u16 = 0 => "reserved fault rate",
+        reserved u16 = 0 => "reserved fault rate",
     }
 }
 
-/// Snapshot support: a plan is fully determined by its configuration,
-/// stream state, and draw counter, so checkpoint/restore carries all
-/// three — a resumed run continues the decision stream exactly where
-/// the interrupted run left it (the determinism contract's fault-draw
-/// leg).
-impl Snap for FaultPlan {
-    fn save(&self, w: &mut Writer) {
-        self.cfg.save(w);
-        w.u64(self.state);
-        w.u64(self.draws);
-    }
-
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            cfg: FaultConfig::load(r)?,
-            state: r.u64()?,
-            draws: r.u64()?,
-        })
-    }
+// A plan is fully determined by its configuration, stream state and draw
+// counter, so a resumed run continues the decision stream exactly where the
+// interrupted run left it.
+vortex_snapshot::snapshot! {
+    impl Snap for FaultPlan { cfg, state, draws }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_snapshot::{Reader, Snap, Writer};
 
     #[test]
     fn off_plan_never_fires() {

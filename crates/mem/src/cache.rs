@@ -29,7 +29,6 @@ use crate::req::{MemReq, MemRsp, Tag};
 use std::collections::VecDeque;
 use std::fmt;
 use vortex_faults::FaultPlan;
-use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
 /// One coalesced sub-request inside a bank request (a virtual port).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,63 +218,6 @@ impl CacheStats {
     }
 }
 
-impl Snap for SubReq {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.tag);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self { tag: r.u64()? })
-    }
-}
-
-impl Snap for BankReq {
-    fn save(&self, w: &mut Writer) {
-        w.u32(self.line);
-        w.bool(self.write);
-        self.subs.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            line: r.u32()?,
-            write: r.bool()?,
-            subs: Vec::load(r)?,
-        })
-    }
-}
-
-impl Snap for CacheStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.u64(self.read_hits);
-        w.u64(self.read_misses);
-        w.u64(self.mshr_merges);
-        w.u64(self.offered);
-        w.u64(self.accepted);
-        w.u64(self.bank_conflicts);
-        w.u64(self.fifo_full_rejects);
-        w.u64(self.port_coalesced);
-        w.u64(self.early_full_stalls);
-        w.u64(self.flushes);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            read_hits: r.u64()?,
-            read_misses: r.u64()?,
-            mshr_merges: r.u64()?,
-            offered: r.u64()?,
-            accepted: r.u64()?,
-            bank_conflicts: r.u64()?,
-            fifo_full_rejects: r.u64()?,
-            port_coalesced: r.u64()?,
-            early_full_stalls: r.u64()?,
-            flushes: r.u64()?,
-        })
-    }
-}
-
 /// What occupies a bank pipeline stage.
 #[derive(Debug, Clone)]
 struct PipeEntry {
@@ -390,62 +332,6 @@ impl Bank {
             || self.stage.iter().any(Option::is_some)
             || !self.fills.is_empty()
             || !self.replays.is_empty()
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        self.input.save_state(w);
-        for stage in &self.stage {
-            stage.save(w);
-        }
-        self.mshr.save_state(w);
-        self.fills.save(w);
-        self.replays.save(w);
-        // Tag array and victim pointers are written in place (geometry is
-        // construction state, so no lengths are serialized).
-        for way in &self.tags {
-            way.save(w);
-        }
-        for v in &self.victim {
-            w.usize(*v);
-        }
-        self.claimed.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        self.input.restore_state(r)?;
-        for stage in &mut self.stage {
-            *stage = Option::load(r)?;
-        }
-        self.mshr.restore_state(r)?;
-        self.fills = VecDeque::load(r)?;
-        self.replays = VecDeque::load(r)?;
-        for way in &mut self.tags {
-            *way = Option::load(r)?;
-        }
-        for v in &mut self.victim {
-            let p = r.usize()?;
-            if p >= self.ways {
-                return Err(SnapError::BadValue("victim pointer"));
-            }
-            *v = p;
-        }
-        self.claimed = Option::load(r)?;
-        Ok(())
-    }
-}
-
-impl Snap for PipeEntry {
-    fn save(&self, w: &mut Writer) {
-        self.req.save(w);
-        w.bool(self.hit);
-        w.bool(self.memq_reservation);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            req: BankReq::load(r)?,
-            hit: r.bool()?,
-            memq_reservation: r.bool()?,
-        })
     }
 }
 
@@ -954,49 +840,47 @@ impl Cache {
             && self.responses.is_empty()
             && self.banks.iter().all(|b| !b.in_flight())
     }
+}
 
-    /// Appends every architectural bit of the cache: bank pipelines,
-    /// MSHRs, tag arrays, queues, fault-plan position and counters. The
-    /// geometry itself is construction state (covered by the snapshot's
-    /// config fingerprint) and is not serialized.
-    pub fn save_state(&self, w: &mut Writer) {
-        for bank in &self.banks {
-            bank.save_state(w);
-        }
-        self.memq.save_state(w);
-        w.usize(self.memq_reserved);
-        self.responses.save(w);
-        w.u32(self.flush_busy);
-        self.fault.save(w);
-        self.stats.save(w);
+vortex_snapshot::snapshot! {
+    impl Snap for SubReq { tag }
+}
+
+vortex_snapshot::snapshot! {
+    impl Snap for BankReq { line, write, subs }
+}
+
+vortex_snapshot::snapshot! {
+    impl Snap for CacheStats {
+        reads, writes, read_hits, read_misses, mshr_merges, offered, accepted, bank_conflicts,
+        fifo_full_rejects, port_coalesced, early_full_stalls, flushes,
     }
+}
 
-    /// Restores the cache in place. The sub-request spare pool is scratch
-    /// (buffers are cleared before reuse) and restores empty.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        for bank in &mut self.banks {
-            bank.restore_state(r)?;
-        }
-        self.memq.restore_state(r)?;
-        self.memq_reserved = r.usize()?;
-        if self.memq_reserved > self.config.memq_size {
-            return Err(SnapError::BadValue("memq reservations"));
-        }
-        // Load responses into the existing backing buffer so the
-        // construction-time capacity reservation survives a restore.
-        let n = r.len(8)?;
-        self.responses.clear();
-        for _ in 0..n {
-            self.responses.push_back(MemRsp::load(r)?);
-        }
-        self.flush_busy = r.u32()?;
-        self.fault = Option::load(r)?;
-        self.stats = CacheStats::load(r)?;
-        self.spare_subs.clear();
-        // Bank claims are part of the snapshot; recompute the host-side
-        // dirty flag so the next `begin_cycle` clears any restored claim.
-        self.claims_dirty = self.banks.iter().any(|b| b.claimed.is_some());
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl Snap for PipeEntry { req, hit, memq_reservation }
+}
+
+// The tag array and victim pointers are walked in place: the geometry is
+// construction state, so no lengths are saved.
+vortex_snapshot::snapshot! {
+    impl state for Bank {
+        input: state, stage, mshr: state, fills, replays, tags: each, config ways,
+        config bank_shift, config set_mask,
+        victim: each if *victim < *ways => "victim pointer",
+        claimed,
+    }
+}
+
+// Bank claims are part of the snapshot; `claims_dirty` is recomputed so the
+// next `begin_cycle` clears any restored claim.
+vortex_snapshot::snapshot! {
+    impl pub state for Cache {
+        config config, config line_shift, config bank_mask, banks: each state, memq: state,
+        memq_reserved if *memq_reserved <= config.memq_size => "memq reservations",
+        responses, flush_busy, fault, stats,
+        derived claims_dirty = banks.iter().any(|b| b.claimed.is_some()),
+        scratch spare_subs = Vec::new(),
     }
 }
 

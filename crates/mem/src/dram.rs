@@ -194,42 +194,15 @@ impl Dram {
     pub fn occupancy(&self) -> (usize, usize, usize) {
         (self.input.len(), self.in_flight.len(), self.responses.len())
     }
+}
 
-    /// Appends the controller's full state, including both fault-plan
-    /// copies ([`Dram::set_fault`] clones the plan into the input queue's
-    /// handshake, so the two streams advance independently).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        self.input.save_state(w);
-        self.in_flight.save(w);
-        self.responses.save(w);
-        w.u64(self.cycle);
-        self.fault.save(w);
-        w.u64(self.total_reads);
-        w.u64(self.total_writes);
-        // Reserved: the retired dropped-response count, always zero.
-        w.u64(0);
-    }
-
-    /// Restores the controller in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        self.input.restore_state(r)?;
-        self.in_flight = VecDeque::load(r)?;
-        self.responses = VecDeque::load(r)?;
-        self.cycle = r.u64()?;
-        self.fault = Option::load(r)?;
-        self.total_reads = r.u64()?;
-        self.total_writes = r.u64()?;
-        if r.u64()? != 0 {
-            return Err(vortex_snapshot::SnapError::BadValue(
-                "reserved dram drop count",
-            ));
-        }
-        Ok(())
+// Both fault-plan copies are saved: `Dram::set_fault` clones the plan into
+// the input queue's handshake, so the two streams advance independently.
+vortex_snapshot::snapshot! {
+    impl pub state for Dram {
+        config config, input: state, in_flight, responses, cycle, fault, total_reads, total_writes,
+        // The retired dropped-response count.
+        reserved u64 = 0 => "reserved dram drop count",
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 use vortex_faults::FaultPlan;
-use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
+use vortex_snapshot::Snap;
 
 /// A bounded FIFO with elastic-handshake semantics.
 ///
@@ -135,30 +135,12 @@ impl<T> Queue<T> {
     }
 }
 
-impl<T: Snap> Queue<T> {
-    /// Appends the queue's contents and fault-plan position. Capacity is
-    /// construction state and is not serialized.
-    pub fn save_state(&self, w: &mut Writer) {
-        self.items.save(w);
-        self.fault.save(w);
-    }
-
-    /// Restores contents and fault-plan position in place. The queue keeps
-    /// its configured capacity; a payload holding more elements than fit is
-    /// a [`SnapError::BadValue`]. Elements load into the existing backing
-    /// buffer (reserved to `capacity` at construction), so a restored
-    /// queue stays allocation-free exactly like a freshly built one.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        let n = r.len(1)?;
-        if n > self.capacity {
-            return Err(SnapError::BadValue("queue occupancy"));
-        }
-        self.items.clear();
-        for _ in 0..n {
-            self.items.push_back(T::load(r)?);
-        }
-        self.fault = Option::<FaultPlan>::load(r)?;
-        Ok(())
+// Elements load into the backing buffer reserved at construction, so a
+// restored queue stays allocation-free like a freshly built one.
+vortex_snapshot::snapshot! {
+    impl[T: Snap] pub state for Queue<T> {
+        items <= *capacity => "queue occupancy",
+        config capacity, fault,
     }
 }
 

@@ -26,7 +26,6 @@ use crate::req::{MemReq, MemRsp, Tag};
 use std::collections::VecDeque;
 use std::fmt;
 use vortex_faults::{site, FaultConfig};
-use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
 /// Hierarchy shape above the L1s.
 #[derive(Debug, Clone)]
@@ -152,36 +151,6 @@ impl TagTable {
 
     fn len(&self) -> usize {
         self.live
-    }
-
-    /// Serialized as the full slot array plus the free list *in order* —
-    /// the LIFO order decides which tag values future requests get, and
-    /// those values must match the ones already riding in serialized
-    /// in-flight requests.
-    fn save_state(&self, w: &mut Writer) {
-        self.slots.save(w);
-        self.free.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        let slots = Vec::<Option<(usize, Tag)>>::load(r)?;
-        let free = Vec::<Tag>::load(r)?;
-        let live = slots.iter().filter(|s| s.is_some()).count();
-        if live + free.len() != slots.len() {
-            return Err(SnapError::BadValue("tag table accounting"));
-        }
-        for &f in &free {
-            match slots.get(f as usize) {
-                Some(None) => {}
-                _ => return Err(SnapError::BadValue("tag table free list")),
-            }
-        }
-        self.slots = slots;
-        self.free = free;
-        self.live = live;
-        self.high_water = live;
-        self.grows = 0;
-        Ok(())
     }
 }
 
@@ -310,36 +279,6 @@ impl SharedLevel {
         self.pending.is_empty()
             && self.cache.ff_idle()
             && self.rsp_out.iter().all(VecDeque::is_empty)
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        self.cache.save_state(w);
-        self.tags.save_state(w);
-        self.pending.save(w);
-        for q in &self.rsp_out {
-            q.save(w);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        self.cache.restore_state(r)?;
-        self.tags.restore_state(r)?;
-        let n = r.len(1)?;
-        if n > self.pending_cap {
-            return Err(SnapError::BadValue("pending occupancy"));
-        }
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push(MemReq::load(r)?);
-        }
-        for q in &mut self.rsp_out {
-            let n = r.len(8)?;
-            q.clear();
-            for _ in 0..n {
-                q.push_back(MemRsp::load(r)?);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -679,40 +618,6 @@ impl MemHierarchy {
             + self.l3.as_ref().map_or(0, |l| l.cache.fault_draws())
     }
 
-    /// Appends everything in flight above the L1s: every L2, the L3, the
-    /// DRAM, the routing tag tables and the per-core response queues.
-    pub fn save_state(&self, w: &mut Writer) {
-        for l2 in &self.l2 {
-            l2.save_state(w);
-        }
-        if let Some(l3) = &self.l3 {
-            l3.save_state(w);
-        }
-        self.dram.save_state(w);
-        self.dram_tags.save_state(w);
-        for q in &self.core_rsp {
-            q.save(w);
-        }
-    }
-
-    /// Restores the hierarchy in place. The level structure (cluster
-    /// count, presence of L2/L3) comes from this hierarchy's own
-    /// configuration, never from the payload.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        for l2 in &mut self.l2 {
-            l2.restore_state(r)?;
-        }
-        if let Some(l3) = &mut self.l3 {
-            l3.restore_state(r)?;
-        }
-        self.dram.restore_state(r)?;
-        self.dram_tags.restore_state(r)?;
-        for q in &mut self.core_rsp {
-            *q = VecDeque::load(r)?;
-        }
-        Ok(())
-    }
-
     /// Queue depths across the whole hierarchy, for hang diagnosis.
     pub fn occupancy(&self) -> HierarchyOccupancy {
         let (dram_input, dram_in_flight, dram_responses) = self.dram.occupancy();
@@ -771,6 +676,38 @@ impl fmt::Display for HierarchyOccupancy {
             write!(f, "\n    L3: {l3}")?;
         }
         Ok(())
+    }
+}
+
+// The full slot array plus the free list *in order*: the LIFO order decides
+// which tag values future requests get, and those values must match the
+// ones already riding in saved in-flight requests.
+vortex_snapshot::snapshot! {
+    impl state for TagTable {
+        slots, free,
+        derived live = slots.iter().filter(|s| s.is_some()).count(),
+        check *live + free.len() == slots.len() => "tag table accounting",
+        check free.iter().all(|&f| matches!(slots.get(f as usize), Some(None)))
+            => "tag table free list",
+        scratch high_water = *live,
+        scratch grows = 0,
+    }
+}
+
+vortex_snapshot::snapshot! {
+    impl state for SharedLevel {
+        cache: state, tags: state,
+        pending <= *pending_cap => "pending occupancy",
+        config pending_cap, rsp_out: each, scratch rsp_high_water,
+    }
+}
+
+// The level structure (cluster count, presence of L2/L3) comes from the
+// hierarchy's own configuration, never from the payload.
+vortex_snapshot::snapshot! {
+    impl pub state for MemHierarchy {
+        config config, l2: each state, config route, l3: each state, dram: state, dram_tags: state,
+        core_rsp: each,
     }
 }
 

@@ -127,40 +127,16 @@ impl Mshr {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
 
-    /// Appends the outstanding fills. Capacity is construction state and
-    /// is not serialized; `pending` is recomputed on restore.
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        self.entries.save(w);
-    }
-
-    /// Restores the outstanding fills in place, recomputing the pending
-    /// count. A payload exceeding the configured capacity is a
-    /// [`vortex_snapshot::SnapError::BadValue`].
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        let n = r.len(5)?;
-        self.entries.clear();
-        let mut pending = 0usize;
-        for _ in 0..n {
-            let entry = <(u32, Vec<BankReq>)>::load(r)?;
-            pending += entry.1.len();
-            // Loading into the existing backing buffer (reserved to
-            // `capacity` at construction) keeps a restored MSHR as
-            // allocation-free as a freshly built one.
-            self.entries.push_back(entry);
-        }
-        if pending > self.capacity {
-            return Err(vortex_snapshot::SnapError::BadValue("mshr occupancy"));
-        }
-        self.pending = pending;
-        self.spare.clear();
-        self.fresh = 0;
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl pub state for Mshr {
+        entries,
+        derived pending = entries.iter().map(|(_, reqs)| reqs.len()).sum(),
+        check *pending <= *capacity => "mshr occupancy",
+        config capacity,
+        scratch spare = Vec::new(),
+        scratch fresh = 0,
     }
 }
 

@@ -47,26 +47,10 @@ pub struct MemRsp {
     pub tag: Tag,
 }
 
-impl vortex_snapshot::Snap for MemReq {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.tag);
-        w.u32(self.addr);
-        w.bool(self.write);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self {
-            tag: r.u64()?,
-            addr: r.u32()?,
-            write: r.bool()?,
-        })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for MemReq { tag, addr, write }
 }
 
-impl vortex_snapshot::Snap for MemRsp {
-    fn save(&self, w: &mut vortex_snapshot::Writer) {
-        w.u64(self.tag);
-    }
-    fn load(r: &mut vortex_snapshot::Reader<'_>) -> vortex_snapshot::SnapResult<Self> {
-        Ok(Self { tag: r.u64()? })
-    }
+vortex_snapshot::snapshot! {
+    impl Snap for MemRsp { tag }
 }

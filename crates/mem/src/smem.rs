@@ -136,28 +136,13 @@ impl SharedMem {
     pub fn config(&self) -> SharedMemConfig {
         self.config
     }
+}
 
-    /// Appends the scratchpad's timing state (the per-cycle bank-claim
-    /// scratch is rebuilt every [`SharedMem::offer`] and is not saved).
-    pub fn save_state(&self, w: &mut vortex_snapshot::Writer) {
-        use vortex_snapshot::Snap;
-        self.in_flight.save(w);
-        w.u64(self.cycle);
-        w.u64(self.accesses);
-        w.u64(self.bank_conflicts);
-    }
-
-    /// Restores the scratchpad in place.
-    pub fn restore_state(
-        &mut self,
-        r: &mut vortex_snapshot::Reader<'_>,
-    ) -> vortex_snapshot::SnapResult<()> {
-        use vortex_snapshot::Snap;
-        self.in_flight = VecDeque::load(r)?;
-        self.cycle = r.u64()?;
-        self.accesses = r.u64()?;
-        self.bank_conflicts = r.u64()?;
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl pub state for SharedMem {
+        config config, in_flight,
+        // Per-cycle bank claims, rebuilt by every `offer`.
+        scratch bank_used, cycle, accesses, bank_conflicts,
     }
 }
 

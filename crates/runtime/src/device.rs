@@ -5,6 +5,7 @@ use crate::afu::{CommandProcessor, MmioReg};
 use std::fmt;
 use vortex_asm::Program;
 use vortex_core::{Gpu, GpuConfig, GpuStats, HangReport, SimError};
+use vortex_snapshot::Snap;
 
 /// A device-memory allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,9 +241,7 @@ impl Device {
     /// allocating and accounting exactly where the saved one stopped.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = vortex_snapshot::Writer::new();
-        w.u32(self.heap_next);
-        w.u64(self.afu.host_cycles);
-        w.u64(self.max_cycles);
+        (self.heap_next, self.afu.host_cycles, self.max_cycles).save(&mut w);
         w.bytes(&self.gpu.save_snapshot());
         vortex_snapshot::seal(self.gpu.config_fingerprint(), &w.into_bytes())
     }
@@ -256,19 +255,11 @@ impl Device {
     /// a different configuration. On error the device may be partially
     /// overwritten and must be discarded.
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), RuntimeError> {
-        let payload = vortex_snapshot::open(bytes, self.gpu.config_fingerprint())
+        let ((heap_next, host_cycles, max_cycles), gpu_bytes): ((u32, u64, u64), _) =
+            vortex_snapshot::unseal(bytes, self.gpu.config_fingerprint(), |r| {
+                Ok((Snap::load(r)?, r.bytes()?))
+            })
             .map_err(|e| RuntimeError::SnapshotCorrupt(e.to_string()))?;
-        let mut r = vortex_snapshot::Reader::new(payload);
-        let inner = (|| {
-            let heap_next = r.u32()?;
-            let host_cycles = r.u64()?;
-            let max_cycles = r.u64()?;
-            let gpu_bytes = r.bytes()?;
-            r.finish()?;
-            Ok::<_, vortex_snapshot::SnapError>((heap_next, host_cycles, max_cycles, gpu_bytes))
-        })()
-        .map_err(|e| RuntimeError::SnapshotCorrupt(e.to_string()))?;
-        let (heap_next, host_cycles, max_cycles, gpu_bytes) = inner;
         self.gpu
             .restore_snapshot(gpu_bytes)
             .map_err(|e| RuntimeError::SnapshotCorrupt(e.to_string()))?;

@@ -36,7 +36,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 
 /// Magic bytes opening every snapshot container.
 pub const MAGIC: [u8; 8] = *b"VXSNAP01";
@@ -314,14 +316,20 @@ impl<'a> Reader<'a> {
 }
 
 /// Value-level serialization: types whose bytes fully determine them.
-/// Structural components (caches, cores...) use in-place `restore_state`
-/// methods instead, so configuration-derived shape never comes from the
-/// (untrusted) payload.
+/// Structural components (caches, cores...) get in-place
+/// `save_state`/`restore_state` methods from [`snapshot!`] instead, so
+/// configuration-derived shape never comes from the (untrusted) payload.
 pub trait Snap: Sized {
     /// Appends this value to `w`.
     fn save(&self, w: &mut Writer);
     /// Decodes one value from `r`.
     fn load(r: &mut Reader<'_>) -> SnapResult<Self>;
+    /// Decodes one value from `r` into `self`. Collections clear and
+    /// refill, so they keep the capacity they were built with.
+    fn load_into(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
+        *self = Self::load(r)?;
+        Ok(())
+    }
 }
 
 macro_rules! snap_prim {
@@ -364,37 +372,21 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
-impl<T: Snap> Snap for Vec<T> {
+/// A fixed-size array: its elements in order, with no length.
+impl<T: Snap, const N: usize> Snap for [T; N] {
     fn save(&self, w: &mut Writer) {
-        w.usize(self.len());
         for v in self {
             v.save(w);
         }
     }
     fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        let n = r.len(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
+        let items = (0..N).map(|_| T::load(r)).collect::<SnapResult<Vec<T>>>()?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N items")))
     }
-}
-
-impl<T: Snap> Snap for std::collections::VecDeque<T> {
-    fn save(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for v in self {
-            v.save(w);
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        let n = r.len(1)?;
-        let mut out = std::collections::VecDeque::with_capacity(n);
-        for _ in 0..n {
-            out.push_back(T::load(r)?);
-        }
-        Ok(out)
+    fn load_into(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
+        self.iter_mut().try_for_each(|v| v.load_into(r))
     }
 }
 
@@ -417,6 +409,314 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
     fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
         Ok((A::load(r)?, B::load(r)?, C::load(r)?))
     }
+}
+
+/// A variable-length collection: saved as a `u64` length and its items in
+/// order, restored in place by [`fill`].
+pub trait Seq: Default {
+    /// One saved item (a key-value pair for maps).
+    type Item: Snap;
+    /// Empties the collection and makes room for `n` items.
+    fn reset(&mut self, n: usize);
+    /// Appends one loaded item.
+    fn put(&mut self, item: Self::Item);
+}
+
+/// Refills `seq` in place from a length-prefixed list. A length above
+/// `max` is refused as soon as it is read, and an item `ok` rejects as
+/// soon as it is loaded, both as [`SnapError::BadValue`]`(what)`.
+///
+/// # Errors
+/// That refusal, or any error of the items' own decoding.
+pub fn fill<S: Seq>(
+    seq: &mut S,
+    r: &mut Reader<'_>,
+    max: usize,
+    ok: impl Fn(&S::Item) -> bool,
+    what: &'static str,
+) -> SnapResult<()> {
+    let n = r.len(1)?;
+    if n > max {
+        return Err(SnapError::BadValue(what));
+    }
+    seq.reset(n);
+    for _ in 0..n {
+        let item = S::Item::load(r)?;
+        if !ok(&item) {
+            return Err(SnapError::BadValue(what));
+        }
+        seq.put(item);
+    }
+    Ok(())
+}
+
+/// Decodes a value of the type of the field `field` projects, so that
+/// [`snapshot!`] can check it before the struct it belongs to is built.
+#[doc(hidden)]
+pub fn load_field<S, T: Snap>(_field: fn(&S) -> &T, r: &mut Reader<'_>) -> SnapResult<T> {
+    T::load(r)
+}
+
+impl<T: Snap> Seq for Vec<T> {
+    type Item = T;
+    fn reset(&mut self, n: usize) {
+        self.clear();
+        self.reserve(n);
+    }
+    fn put(&mut self, item: T) {
+        self.push(item);
+    }
+}
+
+impl<T: Snap> Seq for VecDeque<T> {
+    type Item = T;
+    fn reset(&mut self, n: usize) {
+        self.clear();
+        self.reserve(n);
+    }
+    fn put(&mut self, item: T) {
+        self.push_back(item);
+    }
+}
+
+impl<K: Snap + Ord, V: Snap> Seq for BTreeMap<K, V> {
+    type Item = (K, V);
+    fn reset(&mut self, _: usize) {
+        self.clear();
+    }
+    fn put(&mut self, (k, v): (K, V)) {
+        self.insert(k, v);
+    }
+}
+
+impl<K: Snap + Ord + Hash, V: Snap> Seq for HashMap<K, V> {
+    type Item = (K, V);
+    fn reset(&mut self, n: usize) {
+        self.clear();
+        self.reserve(n);
+    }
+    fn put(&mut self, (k, v): (K, V)) {
+        self.insert(k, v);
+    }
+}
+
+/// `Snap` for collections: the length, then `$save` writes the items.
+macro_rules! snap_seq {
+    ($([$($g:tt)*] $t:ty => |$s:ident, $w:ident| $save:block)*) => {$(
+        impl<$($g)*> Snap for $t {
+            fn save(&self, $w: &mut Writer) {
+                $w.usize(self.len());
+                let $s = self;
+                $save
+            }
+            fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
+                let mut seq = Self::default();
+                seq.load_into(r)?;
+                Ok(seq)
+            }
+            fn load_into(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
+                fill(self, r, usize::MAX, |_| true, "length")
+            }
+        }
+    )*};
+}
+
+snap_seq! {
+    [T: Snap] Vec<T> => |s, w| { s.iter().for_each(|v| v.save(w)) }
+    [T: Snap] VecDeque<T> => |s, w| { s.iter().for_each(|v| v.save(w)) }
+    [K: Snap + Ord, V: Snap] BTreeMap<K, V> => |s, w| {
+        for (k, v) in s {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    [K: Snap + Ord + Hash, V: Snap] HashMap<K, V> => |s, w| {
+        // Iteration order is unspecified: save in key order, so the bytes
+        // are a pure function of the contents.
+        let mut items: Vec<_> = s.iter().collect();
+        items.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (k, v) in items {
+            k.save(w);
+            v.save(w);
+        }
+    }
+}
+
+/// Generates a type's snapshot code from one list of its fields, in stream
+/// order, so the byte layout is written once.
+///
+/// `impl Snap for T { .. }` implements [`Snap`] for a value type.
+/// `impl [generics] vis state for T { .. }` gives a component in-place
+/// `save_state`/`restore_state` methods: its configuration-derived shape
+/// stays as built, and collections keep their capacity. Either form
+/// destructures `Self` exhaustively, so a field that is neither listed nor
+/// skipped does not compile. The items, comma-separated:
+///
+/// * `f` — a [`Snap`] value; `f: state` — a component with its own methods;
+///   `f: each`, `f: each state`, `f: each each` — a shape fixed by the
+///   configuration (a `Vec`, an array, an `Option` that the configuration
+///   makes present), walked element by element with no length or tag.
+/// * `f if ok => "name"` — refuse with [`SnapError::BadValue`]`("name")`
+///   unless `ok` holds once `f` is loaded (with `each`, per element, `f`
+///   naming the element). `f as new if ok => "name"` loads `new` and checks
+///   it against the value `f` holds before replacing it.
+/// * `f <= max => "name"` — a collection whose length is refused above
+///   `max` as soon as it is read; `f for pat if ok => "name"` — one whose
+///   items are each checked as soon as they are loaded.
+/// * `reserved T = v => "name"` — a retired word, always `v`.
+/// * `check ok => "name"` — a check between fields.
+/// * `config f` — construction state, left as built; `scratch f` — host
+///   state outside the simulation, left as it is; `derived f = e` and
+///   `scratch f = e` — set to `e` on restore, at that point of the list.
+///
+/// Checks and `= e` expressions see every field by name (`&mut` while
+/// restoring, plain values in `Snap::load`).
+///
+/// ```compile_fail,E0027
+/// struct Counters {
+///     hits: u64,
+///     misses: u64,
+/// }
+/// // `misses` is neither listed nor skipped.
+/// vortex_snapshot::snapshot! {
+///     impl Snap for Counters { hits }
+/// }
+/// ```
+#[macro_export]
+macro_rules! snapshot {
+    (impl $([$($g:tt)*])? Snap for $ty:ty { $($items:tt)* }) => {
+        $crate::snapshot!(@item value w r (([$($($g)*)?] $ty) [] [] []); $($items)*,);
+    };
+    (impl [$($g:tt)*] $vis:vis state for $ty:ty { $($items:tt)* }) => {
+        $crate::snapshot!(@item state w r (([$($g)*] $vis $ty) [] [] []); $($items)*,);
+    };
+    (impl $vis:vis state for $ty:ty { $($items:tt)* }) => {
+        $crate::snapshot!(@item state w r (([] $vis $ty) [] [] []); $($items)*,);
+    };
+
+    // Each item adds to three lists (`@add`): the field names, the save
+    // statements and the load statements.
+    (@item $m:ident $w:ident $r:ident ($head:tt $n:tt $s:tt $l:tt); $(,)*) => {
+        $crate::snapshot!(@emit $m $w $r $head $n $s $l);
+    };
+    (@item $m:ident $w:ident $r:ident $acc:tt;
+        reserved $t:ty = $v:expr => $what:literal, $($rest:tt)*) => {
+        $crate::snapshot!(@add $m $w $r $acc [] [<$t as $crate::Snap>::save(&$v, $w);]
+            [$crate::snapshot!(@check <$t as $crate::Snap>::load($r)? == $v, $what);]; $($rest)*);
+    };
+    (@item $m:ident $w:ident $r:ident $acc:tt; check $ok:expr => $what:literal, $($rest:tt)*) => {
+        $crate::snapshot!(@add $m $w $r $acc [] [] [$crate::snapshot!(@check $ok, $what);];
+            $($rest)*);
+    };
+    (@item $m:ident $w:ident $r:ident $acc:tt; $why:ident $f:ident, $($rest:tt)*) => {
+        $crate::snapshot!(@add $m $w $r $acc [$f] [] [$crate::snapshot!(@why $why);]; $($rest)*);
+    };
+    (@item $m:ident $w:ident $r:ident $acc:tt; $why:ident $f:ident = $e:expr, $($rest:tt)*) => {
+        $crate::snapshot!(@add $m $w $r $acc [$f] []
+            [$crate::snapshot!(@why $why); $crate::snapshot!(@set $m $f $e);]; $($rest)*);
+    };
+    (@item state $w:ident $r:ident $acc:tt; $f:ident: $($k:ident)+, $($rest:tt)*) => {
+        $crate::snapshot!(@add state $w $r $acc [$f] [$crate::snapshot!(@save [$($k)+] $f $w);]
+            [$crate::snapshot!(@load [$($k)+] $f $r);]; $($rest)*);
+    };
+    (@item state $w:ident $r:ident $acc:tt;
+        $f:ident: each if $ok:expr => $what:literal, $($rest:tt)*) => {
+        $crate::snapshot!(@add state $w $r $acc [$f] [$crate::snapshot!(@save [each] $f $w);]
+            [for $f in $f.iter_mut() {
+                $crate::Snap::load_into($f, $r)?;
+                $crate::snapshot!(@check $ok, $what);
+            }]; $($rest)*);
+    };
+    (@item state $w:ident $r:ident $acc:tt;
+        $f:ident <= $max:expr => $what:literal, $($rest:tt)*) => {
+        $crate::snapshot!(@add state $w $r $acc [$f] [$crate::Snap::save($f, $w);]
+            [$crate::fill($f, $r, $max, |_| true, $what)?;]; $($rest)*);
+    };
+    (@item state $w:ident $r:ident $acc:tt;
+        $f:ident for $p:pat_param if $ok:expr => $what:literal, $($rest:tt)*) => {
+        $crate::snapshot!(@add state $w $r $acc [$f] [$crate::Snap::save($f, $w);]
+            [$crate::fill($f, $r, usize::MAX, |$p| $ok, $what)?;]; $($rest)*);
+    };
+    (@item state $w:ident $r:ident $acc:tt;
+        $f:ident as $new:ident if $ok:expr => $what:literal, $($rest:tt)*) => {
+        $crate::snapshot!(@add state $w $r $acc [$f] [$crate::Snap::save($f, $w);]
+            [let $new = $crate::load_field(|s: &Self| &s.$f, $r)?;
+                $crate::snapshot!(@check $ok, $what);
+                *$f = $new;]; $($rest)*);
+    };
+    (@item $m:ident $w:ident $r:ident $acc:tt;
+        $f:ident $(if $ok:expr => $what:literal)?, $($rest:tt)*) => {
+        $crate::snapshot!(@add $m $w $r $acc [$f] [$crate::Snap::save($f, $w);]
+            [$crate::snapshot!(@field $m $f $r); $($crate::snapshot!(@check $ok, $what);)?];
+            $($rest)*);
+    };
+    (@add $m:ident $w:ident $r:ident ($head:tt [$($n:tt)*] [$($s:tt)*] [$($l:tt)*])
+        [$($n2:tt)*] [$($s2:tt)*] [$($l2:tt)*]; $($rest:tt)*) => {
+        $crate::snapshot!(@item $m $w $r
+            ($head [$($n)* $($n2)*] [$($s)* $($s2)*] [$($l)* $($l2)*]); $($rest)*);
+    };
+
+    // Walks: a value, a component, or a fixed-shape collection of either.
+    (@save [state] $x:ident $w:ident) => { $x.save_state($w) };
+    (@save [each $($k:ident)*] $x:ident $w:ident) => {
+        for y in $x.iter() { $crate::snapshot!(@save [$($k)*] y $w); }
+    };
+    (@save [] $x:ident $w:ident) => { $crate::Snap::save($x, $w) };
+    (@load [state] $x:ident $r:ident) => { $x.restore_state($r)? };
+    (@load [each $($k:ident)*] $x:ident $r:ident) => {
+        for y in $x.iter_mut() { $crate::snapshot!(@load [$($k)*] y $r); }
+    };
+    (@load [] $x:ident $r:ident) => { $crate::Snap::load_into($x, $r)? };
+    // A plain field: loaded into a binding for `Snap::load`, in place for
+    // `restore_state`.
+    (@field value $f:ident $r:ident) => { let $f = $crate::load_field(|s: &Self| &s.$f, $r)?; };
+    (@field state $f:ident $r:ident) => { $crate::Snap::load_into($f, $r)?; };
+    (@set value $f:ident $e:expr) => { let $f = $e; };
+    (@set state $f:ident $e:expr) => { *$f = $e; };
+    // Why a listed field is not loaded.
+    (@why config) => {};
+    (@why derived) => {};
+    (@why scratch) => {};
+    (@check $ok:expr, $what:literal) => {
+        if !($ok) {
+            return Err($crate::SnapError::BadValue($what));
+        }
+    };
+
+    (@emit value $w:ident $r:ident ([$($g:tt)*] $ty:ty) [$($n:ident)*] [$($s:tt)*] [$($l:tt)*]) => {
+        impl<$($g)*> $crate::Snap for $ty {
+            fn save(&self, $w: &mut $crate::Writer) {
+                #[allow(unused_variables)]
+                let Self { $($n),* } = self;
+                $($s)*
+            }
+            fn load($r: &mut $crate::Reader<'_>) -> $crate::SnapResult<Self> {
+                $($l)*
+                Ok(Self { $($n),* })
+            }
+        }
+    };
+    (@emit state $w:ident $r:ident ([$($g:tt)*] $vis:vis $ty:ty) [$($n:ident)*] [$($s:tt)*] [$($l:tt)*]) => {
+        impl<$($g)*> $ty {
+            /// Appends this component's state in its `snapshot!` list order.
+            $vis fn save_state(&self, $w: &mut $crate::Writer) {
+                #[allow(unused_variables)]
+                let Self { $($n),* } = self;
+                $($s)*
+            }
+            /// Restores this component in place from [`Self::save_state`]
+            /// bytes; on an error it must be discarded.
+            ///
+            /// # Errors
+            /// A `SnapError` on malformed bytes.
+            $vis fn restore_state(&mut self, $r: &mut $crate::Reader<'_>) -> $crate::SnapResult<()> {
+                #[allow(unused_variables)]
+                let Self { $($n),* } = self;
+                $($l)*
+                Ok(())
+            }
+        }
+    };
 }
 
 /// CRC32 (IEEE 802.3, reflected) lookup table, built at first use.
@@ -521,6 +821,22 @@ pub fn open(bytes: &[u8], expected_fingerprint: u64) -> SnapResult<&[u8]> {
         });
     }
     Ok(&bytes[HEADER_BYTES..body_end])
+}
+
+/// Opens a container with [`open`], decodes its payload with `load`, and
+/// requires every payload byte to be consumed.
+///
+/// # Errors
+/// The first [`SnapError`] of the three steps.
+pub fn unseal<'a, T>(
+    bytes: &'a [u8],
+    expected_fingerprint: u64,
+    load: impl FnOnce(&mut Reader<'a>) -> SnapResult<T>,
+) -> SnapResult<T> {
+    let mut r = Reader::new(open(bytes, expected_fingerprint)?);
+    let value = load(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -645,5 +961,99 @@ mod tests {
         let a = fnv1a64(b"4W-4T");
         assert_eq!(a, fnv1a64(b"4W-4T"));
         assert_ne!(a, fnv1a64(b"4W-8T"));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Entry {
+        id: u8,
+        tags: Vec<u32>,
+    }
+
+    crate::snapshot! {
+        impl Snap for Entry {
+            id if id < 8 => "entry id",
+            tags,
+        }
+    }
+
+    /// A component: fixed-shape slots, a bounded queue, a derived count and
+    /// a scratch pool.
+    struct Unit {
+        slots: Vec<Option<u16>>,
+        queue: VecDeque<Entry>,
+        capacity: usize,
+        busy: usize,
+        pool: Vec<u8>,
+    }
+
+    crate::snapshot! {
+        impl state for Unit {
+            slots: each,
+            queue <= *capacity => "queue occupancy",
+            reserved u8 = 0 => "reserved byte",
+            config capacity,
+            derived busy = slots.iter().flatten().count(),
+            scratch pool = Vec::new(),
+        }
+    }
+
+    fn unit() -> Unit {
+        Unit {
+            slots: vec![None; 3],
+            queue: VecDeque::with_capacity(2),
+            capacity: 2,
+            busy: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn generated_codecs_round_trip_in_place() {
+        let mut a = unit();
+        a.slots[1] = Some(7);
+        a.queue.push_back(Entry {
+            id: 3,
+            tags: vec![1, 2],
+        });
+        a.pool.push(9);
+        let mut w = Writer::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // Slots walk with no length; the queue carries one; then the
+        // reserved byte.
+        assert_eq!(bytes.len(), 1 + (1 + 2) + 1 + 8 + (1 + 8 + 2 * 4) + 1);
+        let mut b = unit();
+        let mut r = Reader::new(&bytes);
+        b.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((b.slots, b.busy, b.pool.len()), (a.slots, 1, 0));
+        assert_eq!(b.queue, a.queue);
+        assert!(b.queue.capacity() >= 2, "the queue refills in place");
+    }
+
+    #[test]
+    fn generated_checks_name_their_field() {
+        let refuse = |bytes: &[u8]| unit().restore_state(&mut Reader::new(bytes)).unwrap_err();
+        let mut w = Writer::new();
+        [None::<u16>; 3].save(&mut w);
+        w.usize(3);
+        w.raw(&[0; 64]);
+        assert_eq!(
+            refuse(&w.into_bytes()),
+            SnapError::BadValue("queue occupancy")
+        );
+        let mut w = Writer::new();
+        [None::<u16>; 3].save(&mut w);
+        w.usize(1);
+        w.u8(8);
+        assert_eq!(refuse(&w.into_bytes()), SnapError::BadValue("entry id"));
+        let mut w = Writer::new();
+        [None::<u16>; 3].save(&mut w);
+        w.usize(0);
+        w.u8(1);
+        assert_eq!(
+            refuse(&w.into_bytes()),
+            SnapError::BadValue("reserved byte")
+        );
     }
 }

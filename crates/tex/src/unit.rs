@@ -20,7 +20,6 @@ use crate::state::{FilterMode, TexState};
 use std::collections::VecDeque;
 use vortex_mem::elastic::Queue;
 use vortex_mem::{MemReq, MemRsp, Ram, Tag};
-use vortex_snapshot::{Reader, Snap, SnapError, SnapResult, Writer};
 
 /// Texture unit configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,55 +129,6 @@ struct Batch {
     to_issue: Vec<u32>,
     /// Issued but not yet returned.
     outstanding: usize,
-}
-
-impl Snap for TexResponse {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.tag);
-        self.colors.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            tag: r.u64()?,
-            colors: Vec::load(r)?,
-        })
-    }
-}
-
-impl Snap for TexUnitStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.requests);
-        w.u64(self.texels_generated);
-        w.u64(self.texels_fetched);
-        w.u64(self.mem_busy_cycles);
-        w.u64(self.idle_cycles);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            requests: r.u64()?,
-            texels_generated: r.u64()?,
-            texels_fetched: r.u64()?,
-            mem_busy_cycles: r.u64()?,
-            idle_cycles: r.u64()?,
-        })
-    }
-}
-
-impl Snap for Batch {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.tag);
-        self.colors.save(w);
-        self.to_issue.save(w);
-        w.usize(self.outstanding);
-    }
-    fn load(r: &mut Reader<'_>) -> SnapResult<Self> {
-        Ok(Self {
-            tag: r.u64()?,
-            colors: Vec::load(r)?,
-            to_issue: Vec::load(r)?,
-            outstanding: r.usize()?,
-        })
-    }
 }
 
 /// The texture unit.
@@ -439,37 +389,29 @@ impl TexUnit {
             && self.output.is_empty()
             && self.mem_out.is_empty()
     }
+}
 
-    /// Appends the whole pipeline: queued batches, the scheduler's current
-    /// batch, sampler countdowns, outputs, outstanding texel tags, the tag
-    /// counter and counters.
-    pub fn save_state(&self, w: &mut Writer) {
-        self.input.save_state(w);
-        self.current.save(w);
-        self.sampler.save(w);
-        self.output.save(w);
-        w.u64(self.next_mem_tag);
-        self.mem_out.save(w);
-        self.outstanding_tags.save(w);
-        // Reserved: the retired fault plan, always the `None` tag.
-        w.u8(0);
-        self.stats.save(w);
+vortex_snapshot::snapshot! {
+    impl Snap for TexResponse { tag, colors }
+}
+
+vortex_snapshot::snapshot! {
+    impl Snap for TexUnitStats {
+        requests, texels_generated, texels_fetched, mem_busy_cycles, idle_cycles,
     }
+}
 
-    /// Restores the pipeline in place.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        self.input.restore_state(r)?;
-        self.current = Option::load(r)?;
-        self.sampler = VecDeque::load(r)?;
-        self.output = VecDeque::load(r)?;
-        self.next_mem_tag = r.u64()?;
-        self.mem_out = VecDeque::load(r)?;
-        self.outstanding_tags = Vec::load(r)?;
-        if r.u8()? != 0 {
-            return Err(SnapError::BadValue("reserved texture fault plan"));
-        }
-        self.stats = TexUnitStats::load(r)?;
-        Ok(())
+vortex_snapshot::snapshot! {
+    impl Snap for Batch { tag, colors, to_issue, outstanding }
+}
+
+vortex_snapshot::snapshot! {
+    impl pub state for TexUnit {
+        config config, input: state, current, sampler, output, next_mem_tag, mem_out,
+        outstanding_tags,
+        // The retired fault plan, always the `None` tag.
+        reserved u8 = 0 => "reserved texture fault plan",
+        stats,
     }
 }
 
