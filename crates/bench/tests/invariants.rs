@@ -471,7 +471,7 @@ impl Kernel {
                     match gpu.run((gpu.cycle() / every + 1) * every) {
                         Ok(stats) => break stats,
                         Err(SimError::Timeout { .. }) => {
-                            gpu = resume(&gpu).0;
+                            gpu = resume(&mut gpu).0;
                             resumes += 1;
                         }
                         Err(e) => panic!("unexpected outcome: {e}"),
@@ -491,7 +491,7 @@ impl Kernel {
                         Err(SimError::Timeout { cycles: budget }),
                         "pause lands on its budget"
                     );
-                    let (fresh, snap) = resume(&gpu);
+                    let (fresh, snap) = resume(&mut gpu);
                     gpu = fresh;
                     bytes.push(snap);
                 }
@@ -527,7 +527,7 @@ impl Kernel {
 /// configuration, and checks the resume is exact: the derived front-end
 /// masks match their definitions and the paused machine's, and re-saving
 /// reproduces the bytes.
-fn resume(gpu: &Gpu) -> (Gpu, Vec<u8>) {
+fn resume(gpu: &mut Gpu) -> (Gpu, Vec<u8>) {
     let at = gpu.cycle();
     let bytes = gpu.save_snapshot();
     let mut fresh = Gpu::new(gpu.config().clone());
@@ -1039,7 +1039,7 @@ fn busy_front_end_resume() {
         }
         // Flush deferred idle ticks so the snapshot sees settled state.
         assert!(gpu.run(gpu.cycle()).is_err(), "a busy machine is not done");
-        gpu = resume(&gpu).0;
+        gpu = resume(&mut gpu).0;
         assert_eq!(front_end_busy(&gpu), (true, true, true));
         pauses += 1;
     }

@@ -199,8 +199,8 @@ pub struct Core {
     /// desynchronize them.
     drained: bool,
     /// Active park, when the core has proven an idle span (see
-    /// [`Park`]). Host-side scheduling state: never serialized, always
-    /// `None` outside a run loop.
+    /// [`Park`]). Host-side scheduling state, never serialized: a run
+    /// flushes it before returning, and `Gpu::save_snapshot` before saving.
     park: Option<Park>,
     /// Issued-instruction count at the last park probe — probing only
     /// makes sense on ticks that issued nothing.
@@ -1257,8 +1257,8 @@ vortex_snapshot::snapshot! {
 // components) and the counters. Structural geometry comes from the
 // configuration and is not saved: occupancies are checked against it. The
 // fetch-request buffer, the execute pool and the trace are host-side and
-// invisible to the simulation. Parks are flushed by the run loop before it
-// returns, so a saved core never holds deferred ticks.
+// invisible to the simulation. Parks are replayed by `Gpu::save_snapshot`
+// before a core is saved, so a saved core never holds deferred ticks.
 vortex_snapshot::snapshot! {
     impl pub state for Core {
         config id, config config, config num_cores,

@@ -166,8 +166,8 @@ impl Gpu {
     /// this plus fast-forward, telemetry and the watchdog, so a
     /// `step`-driven simulation is bit-identical to a `run` one. Between
     /// steps a core may hold deferred idle ticks (a park): [`Gpu::stats`]
-    /// folds them in, but snapshots and profiles are only taken after a
-    /// `run`, which flushes them.
+    /// folds them in and [`Gpu::save_snapshot`] replays them first; the
+    /// profile is complete only after a `run`, which flushes them.
     ///
     /// # Errors
     /// Propagates structured execution traps from the cores. Every core
@@ -540,8 +540,13 @@ impl Gpu {
     /// The contract: `restore_snapshot` on a freshly built GPU of the same
     /// configuration, followed by `run`, is bit-identical (cycles, stats,
     /// memory image, fault draws, telemetry) to the original uninterrupted
-    /// run.
-    pub fn save_snapshot(&self) -> Vec<u8> {
+    /// run. A core parked between [`Gpu::step`]s first replays its
+    /// deferred idle ticks, so the bytes never depend on how the host
+    /// drove the machine.
+    pub fn save_snapshot(&mut self) -> Vec<u8> {
+        for core in &mut self.cores {
+            core.unpark();
+        }
         let mut w = vortex_snapshot::Writer::new();
         self.save_state(&mut w);
         vortex_snapshot::seal(self.config_fingerprint(), &w.into_bytes())
@@ -995,5 +1000,50 @@ mod tests {
         }
         assert_eq!(stats.cores.len(), 4);
         assert!(stats.cores.iter().all(|c| c.instrs > 0));
+    }
+
+    /// A 50-iteration strided load/store loop: DRAM-bound, so the core
+    /// parks between steps.
+    fn strided_loop() -> Assembler {
+        let mut a = Assembler::new();
+        a.li(Reg::X5, 50);
+        a.li(Reg::X6, 0x20000);
+        a.label("loop").unwrap();
+        a.lw(Reg::X7, Reg::X6, 0);
+        a.addi(Reg::X7, Reg::X7, 1);
+        a.sw(Reg::X7, Reg::X6, 0);
+        a.addi(Reg::X6, Reg::X6, 256);
+        a.addi(Reg::X5, Reg::X5, -1);
+        a.bnez(Reg::X5, "loop");
+        a.ecall();
+        a
+    }
+
+    #[test]
+    fn snapshot_taken_between_steps_resumes_identically() {
+        let asm = strided_loop();
+        let whole = run_program(&mut Gpu::new(GpuConfig::with_cores(1)), &asm);
+        let prog = asm.assemble(ENTRY).expect("assembles");
+        for k in [50, 100, 200, 400, 1000] {
+            let mut gpu = Gpu::new(GpuConfig::with_cores(1));
+            gpu.ram.write_bytes(prog.base, &prog.to_bytes());
+            gpu.launch(prog.entry);
+            for _ in 0..k {
+                gpu.step().expect("no trap");
+            }
+            let bytes = gpu.save_snapshot();
+            let mut resumed = Gpu::new(GpuConfig::with_cores(1));
+            resumed
+                .restore_snapshot(&bytes)
+                .expect("own snapshot restores");
+            let stats = resumed.run(1_000_000).expect("kernel finishes");
+            assert_eq!(stats, whole, "resumed after {k} steps");
+            let core = &stats.cores[0];
+            assert_eq!(
+                core.cycles,
+                core.instrs + core.stalls.total(),
+                "after {k} steps"
+            );
+        }
     }
 }

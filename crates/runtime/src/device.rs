@@ -239,7 +239,7 @@ impl Device {
     /// Host-side driver bookkeeping (`heap_next`, `afu.host_cycles`,
     /// `max_cycles`) is included so a restored device continues
     /// allocating and accounting exactly where the saved one stopped.
-    pub fn save_snapshot(&self) -> Vec<u8> {
+    pub fn save_snapshot(&mut self) -> Vec<u8> {
         let mut w = vortex_snapshot::Writer::new();
         (self.heap_next, self.afu.host_cycles, self.max_cycles).save(&mut w);
         w.bytes(&self.gpu.save_snapshot());
