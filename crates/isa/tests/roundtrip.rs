@@ -320,6 +320,29 @@ fn instrs(f: Fields) -> impl Strategy<Value = Instr> {
     ]
 }
 
+/// A case that once failed `encode_decode_round_trip`: sign injection
+/// selects its op with funct3, so a rounding mode other than `Rne` cannot
+/// survive the encoding. It decodes to the canonical `Rne`.
+#[test]
+fn sign_injection_rounding_mode_is_canonical() {
+    let instr = Instr::FpOp {
+        op: FpOpKind::SgnJ,
+        rd: FReg::X0,
+        rs1: FReg::X0,
+        rs2: FReg::X0,
+        rm: RoundMode::Rtz,
+    };
+    let canonical = Instr::FpOp {
+        op: FpOpKind::SgnJ,
+        rd: FReg::X0,
+        rs1: FReg::X0,
+        rs2: FReg::X0,
+        rm: RoundMode::Rne,
+    };
+    assert_eq!(decode(encode(&instr)), Ok(canonical));
+    assert_eq!(decode(encode(&canonical)), Ok(canonical));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 

@@ -54,6 +54,112 @@ fn run_trace(config: CacheConfig, dram_cfg: DramConfig, trace: Vec<MemReq>) -> V
     );
 }
 
+/// Tags each request of `raw_trace` with its index, runs it through a
+/// cache with the given virtual ports and MSHR size over a DRAM with the
+/// given latency and channel count, and returns the read tags received and
+/// the ones issued, both sorted.
+fn reads_returned(
+    raw_trace: Vec<MemReq>,
+    ports: usize,
+    mshr_size: usize,
+    latency: u32,
+    channels: u32,
+) -> (Vec<u64>, Vec<u64>) {
+    let trace: Vec<MemReq> = raw_trace
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut r)| {
+            r.tag = i as u64;
+            r
+        })
+        .collect();
+    let mut want: Vec<u64> = trace.iter().filter(|r| !r.write).map(|r| r.tag).collect();
+    let config = CacheConfig {
+        size_bytes: 2048,
+        line_bytes: 64,
+        num_banks: 4,
+        num_ways: 1,
+        ports,
+        mshr_size,
+        input_queue: 2,
+        memq_size: 4,
+    };
+    let dram_cfg = DramConfig {
+        latency,
+        channels,
+        queue_size: 4,
+    };
+    let mut got = run_trace(config, dram_cfg, trace);
+    got.sort_unstable();
+    want.sort_unstable();
+    (got, want)
+}
+
+/// A trace of `(address, write)` pairs, untagged.
+fn recorded(pairs: &[(u32, bool)]) -> Vec<MemReq> {
+    pairs
+        .iter()
+        .map(|&(addr, write)| MemReq {
+            tag: 0,
+            addr,
+            write,
+        })
+        .collect()
+}
+
+/// A 95-request trace that once failed `reads_complete_exactly_once`. Its
+/// record kept no port count, MSHR size, DRAM latency or channel count, so
+/// the test runs it at the corners of the property's ranges.
+#[test]
+fn recorded_95_request_trace_completes() {
+    #[rustfmt::skip]
+    const TRACE: &[(u32, bool)] = &[
+        (192, false), (0, false), (832, false), (640, false), (336, false), (2520, true),
+        (92, false), (2564, false), (2356, false), (2280, false), (1276, false), (1388, true),
+        (1692, false), (2288, true), (3296, false), (488, false), (644, false), (452, false),
+        (2344, true), (544, false), (1964, true), (2376, true), (4008, true), (3056, false),
+        (392, true), (2576, false), (1556, false), (3092, false), (3668, false), (844, false),
+        (3084, false), (588, true), (2400, false), (344, true), (1844, false), (3072, false),
+        (2920, false), (3680, true), (2412, true), (3404, true), (3484, true), (2116, false),
+        (396, true), (3472, false), (1652, false), (432, true), (1284, false), (1536, true),
+        (3108, true), (3888, false), (1112, true), (2064, false), (832, false), (4000, true),
+        (3620, false), (496, false), (756, true), (248, false), (956, false), (3800, false),
+        (2748, true), (2300, false), (1152, false), (232, false), (3844, true), (1008, false),
+        (440, false), (3932, true), (1880, true), (1260, false), (2120, true), (524, false),
+        (1916, true), (3264, false), (1616, true), (920, true), (3236, true), (3916, false),
+        (2796, false), (52, false), (532, true), (2596, false), (3284, false), (1812, false),
+        (2876, false), (2580, true), (776, false), (1336, false), (1332, true), (4000, true),
+        (2164, true), (3216, false), (84, true), (760, true), (52, false),
+    ];
+    for ports in [1, 2, 4] {
+        for mshr_size in [4, 31] {
+            for latency in [1, 49] {
+                for channels in [1, 3] {
+                    let (got, want) =
+                        reads_returned(recorded(TRACE), ports, mshr_size, latency, channels);
+                    assert_eq!(
+                        got, want,
+                        "ports {ports}, mshr {mshr_size}, latency {latency}, channels {channels}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A 12-read trace that once failed `reads_complete_exactly_once`, with the
+/// parameters it was recorded with.
+#[test]
+fn recorded_12_read_trace_completes() {
+    #[rustfmt::skip]
+    const TRACE: &[(u32, bool)] = &[
+        (768, false), (192, false), (2048, false), (0, false), (64, false), (64, false),
+        (1280, false), (320, false), (640, false), (1664, false), (832, false), (704, false),
+    ];
+    let (got, want) = reads_returned(recorded(TRACE), 2, 4, 2, 1);
+    assert_eq!(got, want);
+}
+
 fn req_strategy() -> impl Strategy<Value = MemReq> {
     (any::<bool>(), 0u32..64, 0u32..16).prop_map(|(write, line, word)| MemReq {
         tag: 0, // assigned later
@@ -75,28 +181,7 @@ proptest! {
         latency in 1u32..50,
         channels in 1u32..4,
     ) {
-        let trace: Vec<MemReq> = raw_trace
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut r)| { r.tag = i as u64; r })
-            .collect();
-        let read_tags: Vec<u64> =
-            trace.iter().filter(|r| !r.write).map(|r| r.tag).collect();
-        let config = CacheConfig {
-            size_bytes: 2048,
-            line_bytes: 64,
-            num_banks: 4,
-            num_ways: 1,
-            ports,
-            mshr_size,
-            input_queue: 2,
-            memq_size: 4,
-        };
-        let dram_cfg = DramConfig { latency, channels, queue_size: 4 };
-        let mut got = run_trace(config, dram_cfg, trace);
-        got.sort_unstable();
-        let mut want = read_tags;
-        want.sort_unstable();
+        let (got, want) = reads_returned(raw_trace, ports, mshr_size, latency, channels);
         prop_assert_eq!(got, want);
     }
 
