@@ -569,8 +569,8 @@ snap_seq! {
 ///   state outside the simulation, left as it is; `derived f = e` and
 ///   `scratch f = e` — set to `e` on restore, at that point of the list.
 ///
-/// Checks and `= e` expressions see every field by name (`&mut` while
-/// restoring, plain values in `Snap::load`).
+/// Checks and `= e` expressions name fields directly: in `restore_state`
+/// every field, as `&mut`; in `Snap::load` the fields loaded so far.
 ///
 /// ```compile_fail,E0027
 /// struct Counters {
